@@ -6,9 +6,9 @@ through a :class:`Clock`, so the test suite can drive timing with
 :class:`FakeClock` and never block on a real :func:`time.sleep` or
 depend on wall time.
 
-(Historically this lived at :mod:`repro.resilience.clock`, which still
-re-exports these names; it moved up a level when :mod:`repro.obs`
-started sharing it — a leaf module keeps the dependency graph acyclic.)
+It is a leaf module, imported by both :mod:`repro.resilience` (which
+re-exports its names) and :mod:`repro.obs`, so neither package has to
+import the other for it.
 """
 
 from __future__ import annotations

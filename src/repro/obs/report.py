@@ -11,7 +11,10 @@ Where ``repro status`` answers "how is it going *right now*",
   lines) in wall-clock order, from ledger lease records and warning
   events;
 - **per-phase time** — span durations aggregated by span name, the
-  flat profile of the run.
+  flat profile of the run;
+- **cell peaks** — pool cells ranked by the worker's RSS high-water
+  mark over the cell (Linux only; the section is left out where the
+  kernel refuses the reset).
 
 The report is a plain JSON-able dict (``--json``) with a text
 rendering (:func:`format_report`); both are derived from on-disk
@@ -159,26 +162,26 @@ def _span_sections(run_dir: str, status: RunStatus) -> dict[str, Any]:
     return {"phases": phase_rows, "fault_timeline": timeline}
 
 
-def _capture_peaks(run_dir: str) -> list[dict[str, Any]]:
-    """Per-cell capture-memory high-water marks from worker telemetry.
+def _cell_peaks(run_dir: str) -> list[dict[str, Any]]:
+    """Per-cell peak RSS from worker telemetry, highest first.
 
     Each pool worker closes its cell with a ``final`` sample carrying
-    ``cell`` and ``capture_peak_kib`` (the tracemalloc peak over the
-    cell); ranked highest first, one row per cell (a re-dispatched
-    cell keeps its worst peak).
+    ``cell`` and ``cell_peak_rss_kib`` (the worker's RSS high-water
+    mark over the cell, ``None`` where the kernel refused the reset);
+    one row per cell (a re-dispatched cell keeps its worst peak).
     """
     peaks: dict[str, float] = {}
     for samples in read_telemetry(telemetry_dir(run_dir)).values():
         for sample in samples:
             cell = sample.get("cell")
-            peak = sample.get("capture_peak_kib")
+            peak = sample.get("cell_peak_rss_kib")
             if not isinstance(cell, str) or not isinstance(
                 peak, (int, float)
             ) or isinstance(peak, bool):
                 continue
             peaks[cell] = max(peaks.get(cell, 0.0), float(peak))
     return [
-        {"cell": cell, "capture_peak_kib": round(peak, 3)}
+        {"cell": cell, "cell_peak_rss_kib": round(peak, 3)}
         for cell, peak in sorted(
             peaks.items(), key=lambda item: item[1], reverse=True
         )
@@ -213,8 +216,10 @@ def run_report(run_dir: str) -> dict[str, Any]:
             }
             for w in status.workers
         ],
-        "capture_peaks": _capture_peaks(run_dir),
     }
+    cell_peaks = _cell_peaks(run_dir)
+    if cell_peaks:
+        report["cell_peaks"] = cell_peaks
     report.update(_ledger_sections(status, run_dir))
     report.update(_span_sections(run_dir, status))
     report["problems"] = status.problems
@@ -250,11 +255,12 @@ def format_report(report: dict[str, Any]) -> str:
                     else ""
                 )
             )
-    if report.get("capture_peaks"):
-        lines.append("  capture peaks (tracemalloc, per cell):")
-        for row in report["capture_peaks"]:
+    if report.get("cell_peaks"):
+        lines.append("  cell peaks (worker RSS high-water mark, per cell):")
+        for row in report["cell_peaks"]:
             lines.append(
-                f"    {row['capture_peak_kib']:>10.1f}KiB  {row['cell']}"
+                f"    {row['cell_peak_rss_kib'] / 1024:>9.1f}MiB  "
+                f"{row['cell']}"
             )
     if report["slowest_cells"]:
         lines.append("  slowest cells:")

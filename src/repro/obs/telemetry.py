@@ -78,6 +78,40 @@ def _rss_kib() -> float | None:
         return None
 
 
+#: The kernel's per-process files behind :func:`reset_rss_peak` and
+#: :func:`rss_peak_kib`.
+_PROC_CLEAR_REFS = "/proc/self/clear_refs"
+_PROC_STATUS = "/proc/self/status"
+
+
+def reset_rss_peak() -> bool:
+    """Reset this process's RSS high-water mark to its current RSS.
+
+    Writes ``5`` to ``/proc/self/clear_refs`` (Linux); values 1-4
+    would clear page referenced/soft-dirty bits instead.  Returns
+    False where the write is refused (non-Linux, read-only ``/proc``):
+    :func:`rss_peak_kib` then has no window to report.
+    """
+    try:
+        with open(_PROC_CLEAR_REFS, "w", encoding="ascii") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def rss_peak_kib() -> float | None:
+    """``VmHWM`` in KiB: peak RSS since the last :func:`reset_rss_peak`."""
+    try:
+        with open(_PROC_STATUS, "rb") as handle:
+            for line in handle:
+                if line.startswith(b"VmHWM:"):
+                    return float(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _cpu_seconds() -> float:
     """User+system CPU seconds consumed by this process."""
     times = os.times()

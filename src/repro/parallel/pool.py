@@ -76,7 +76,13 @@ from ..obs import events as obs_events
 from ..obs.context import ObsContext, activate_obs, current_obs, record_metric
 from ..obs.events import Event
 from ..obs.span import ERROR, OK as SPAN_OK, active_tracer, trace_span
-from ..obs.telemetry import heartbeat_dir, open_sink, telemetry_dir
+from ..obs.telemetry import (
+    heartbeat_dir,
+    open_sink,
+    reset_rss_peak,
+    rss_peak_kib,
+    telemetry_dir,
+)
 from ..resilience.executor import (
     CellOutcome,
     ExecutionPolicy,
@@ -473,16 +479,11 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
             sink.annotate(inflight=cell_key)
             if _WORKER_CORES is not None:
                 sink.annotate(affinity=list(_WORKER_CORES))
-    # Capture-memory accounting rides with telemetry: tracemalloc's
-    # peak over the cell bounds what the (streaming or buffered)
-    # capture pipeline retained, the number the `capture_peak_kib`
-    # report column surfaces per cell.
-    capture_peak_kib: float | None = None
-    trace_memory = sink is not None
-    if trace_memory:
-        import tracemalloc
-
-        tracemalloc.start()
+    # The cell's memory number rides with telemetry: the kernel's RSS
+    # high-water mark, reset here and read when the cell ends, is what
+    # `repro report` ranks per cell.  Where the reset is refused there
+    # is no window to read, so the field stays None.
+    peak_window = sink is not None and reset_rss_peak()
     status, payload, error = OK, None, None
     try:
         with activate_obs(obs):
@@ -494,12 +495,6 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
                 error = f"{type(exc.cause).__name__}: {exc.cause}"
             cell_end = obs.clock.monotonic()
     finally:
-        if trace_memory:
-            import tracemalloc
-
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            capture_peak_kib = round(peak / 1024.0, 3)
         if heartbeat is not None:
             heartbeat.stop()
         if sink is not None:
@@ -507,7 +502,7 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
             sink.stop(
                 cell=cell_key,
                 status=status,
-                capture_peak_kib=capture_peak_kib,
+                cell_peak_rss_kib=rss_peak_kib() if peak_window else None,
             )
     outcome = (
         session.guard.outcomes[-1]
@@ -535,7 +530,6 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
         "affinity": (
             list(_WORKER_CORES) if _WORKER_CORES is not None else None
         ),
-        "capture_peak_kib": capture_peak_kib,
     }
 
 

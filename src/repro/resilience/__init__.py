@@ -10,7 +10,7 @@ fault-injection layer that proves all of it works
 (:mod:`~repro.resilience.faults`).
 """
 
-from .clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
+from ..clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
 from .executor import (
     CellOutcome,
     ExecutionContext,

@@ -37,11 +37,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from ..clock import SYSTEM_CLOCK, Clock
 from ..errors import CellTimeoutError, QuarantinedCellError
 from ..obs import events as obs_events
 from ..obs.context import record_metric
 from ..obs.span import attach_span, capture_span, trace_span
-from .clock import SYSTEM_CLOCK, Clock
 from .faults import FaultPlan, active_plan
 from .ledger import LEASE, LOST, OK, QUARANTINED, LedgerRecord, RunLedger
 from .policy import NO_RETRY, RetryPolicy

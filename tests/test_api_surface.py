@@ -2,6 +2,8 @@
 and every ``__all__`` name must resolve."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,50 @@ def test_paper_entry_points_exist():
     from repro.experiments import run_experiment  # noqa: F401
     from repro.parallel import thread_scaling  # noqa: F401
     from repro.video import vbench  # noqa: F401
+
+
+def _design_module_map() -> list[str]:
+    """Every module DESIGN.md's §3 module map names.
+
+    A row is ``| subsystem | `package` | `module` (note), ... |``: the
+    package may carry a ``{a,b}`` brace set, and backticked names in
+    the contents column are modules of that package once parenthesised
+    notes are dropped.
+    """
+    design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+    text = design.read_text(encoding="utf-8")
+    section = text.split("## 3. ", 1)[1].split("\n### ", 1)[0]
+    names = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`repro"):
+            continue
+        package = cells[1].strip("`")
+        head, _, tail = package.partition("{")
+        packages = (
+            [head + part for part in tail.rstrip("}").split(",")]
+            if tail
+            else [package]
+        )
+        contents, dropped = cells[2], 1
+        while dropped:  # innermost parentheses first
+            contents, dropped = re.subn(r"\([^()]*\)", "", contents)
+        modules = re.findall(r"`([a-z_][a-z0-9_]*)`", contents)
+        for pkg in packages:
+            names.append(pkg)
+            names.extend(f"{pkg}.{module}" for module in modules)
+    return names
+
+
+def test_design_module_map_imports():
+    names = _design_module_map()
+    assert len(names) > 50, names
+    missing = []
+    for name in names:
+        try:
+            importlib.import_module(name)
+        except ImportError as exc:
+            missing.append(f"{name}: {exc}")
+    assert not missing, "\n".join(
+        ["DESIGN.md §3 names modules that do not import:", *missing]
+    )

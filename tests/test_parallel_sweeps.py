@@ -9,6 +9,7 @@ the parent's collectors.
 """
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -289,6 +290,54 @@ class TestPooledTelemetry:
         kinds = [event.kind for event in obs.events.events]
         assert "pool.start" in kinds and "pool.done" in kinds
 
+    def test_run_dir_cells_do_not_trace_allocations(
+        self, monkeypatch, tmp_path
+    ):
+        """A run directory must not put cells under ``tracemalloc``."""
+
+        def fake(codec, video, machine=None, crf=None, preset=None,
+                 num_frames=None):
+            if tracemalloc.is_tracing():
+                raise RuntimeError("cell ran under tracemalloc")
+            video = getattr(video, "name", video)
+            return synthetic_report(codec, video, crf=crf, preset=preset)
+
+        monkeypatch.setattr(session_mod, "characterize", fake)
+        result = run_experiment(
+            "fig04", workers=2, run_dir=str(tmp_path / "run")
+        )
+        assert result.provenance["quarantined"] == []
+        assert len(result.tables[0].rows) == GRID_CELLS
+
+    def test_refused_peak_reset_omits_cell_peaks(
+        self, stub_characterize, monkeypatch, tmp_path
+    ):
+        """No ``clear_refs`` reset: no ``VmHWM`` read, no report section."""
+        from repro.obs import telemetry
+        from repro.obs.report import format_report, run_report
+
+        status = tmp_path / "status"
+        status.write_text("VmHWM:\t     999 kB\n")
+        refused = tmp_path / "no-proc" / "clear_refs"
+        monkeypatch.setattr(telemetry, "_PROC_CLEAR_REFS", str(refused))
+        monkeypatch.setattr(telemetry, "_PROC_STATUS", str(status))
+        run_dir = str(tmp_path / "run")
+        run_experiment("fig04", workers=2, run_dir=run_dir)
+
+        streams = telemetry.read_telemetry(telemetry.telemetry_dir(run_dir))
+        finals = [
+            sample
+            for samples in streams.values()
+            for sample in samples
+            if sample.get("cell")
+        ]
+        assert len(finals) == GRID_CELLS
+        # 999 would mean the stand-in status file was read.
+        assert all(s["cell_peak_rss_kib"] is None for s in finals)
+        report = run_report(run_dir)
+        assert "cell_peaks" not in report
+        assert "cell peaks" not in format_report(report)
+
 
 class TestGraftPrimitives:
     def test_graft_rebases_and_reparents(self):
@@ -462,8 +511,8 @@ class TestAffinity:
         assert any(
             row.get("affinity") is not None for row in report["workers"]
         )
-        # Satellite: telemetry-enabled cells record a capture peak.
-        assert report["capture_peaks"]
+        # Telemetry-enabled cells record their peak RSS.
+        assert report["cell_peaks"]
         assert all(
-            row["capture_peak_kib"] > 0 for row in report["capture_peaks"]
+            row["cell_peak_rss_kib"] > 0 for row in report["cell_peaks"]
         )

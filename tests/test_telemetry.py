@@ -26,6 +26,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 os.environ.setdefault("REPRO_FAST", "1")
@@ -56,6 +57,8 @@ from repro.obs.telemetry import (  # noqa: E402
     open_sink,
     read_telemetry,
     read_telemetry_file,
+    reset_rss_peak,
+    rss_peak_kib,
 )
 from repro.parallel import pool as pool_mod  # noqa: E402
 from repro.parallel.supervise import request_drain  # noqa: E402
@@ -162,6 +165,18 @@ class TestTelemetrySink:
         assert len(samples) >= 2  # start() flushes immediately
         assert samples[-1]["kind"] == "final"
         assert samples[-1]["outcome"] == "done"
+
+    def test_rss_peak_reset_opens_a_new_window(self):
+        if not reset_rss_peak():
+            pytest.skip("kernel refuses the RSS high-water-mark reset")
+        before = rss_peak_kib()
+        block = np.ones(32 * 2**20 // 8)  # 32 MiB, every page touched
+        del block
+        peak = rss_peak_kib()
+        assert before is not None and peak is not None
+        assert peak - before >= 24 * 1024
+        assert reset_rss_peak()
+        assert rss_peak_kib() < peak
 
 
 class TestTelemetryReading:
