@@ -13,7 +13,11 @@ Times the in-cell hot paths the kernel layer vectorizes:
 - **capture stream** — the capture pipeline's peak memory
   (tracemalloc): buffered whole-stream capture plus post-hoc
   simulation vs streaming sinks consuming the same events chunk by
-  chunk, counters bit-identical.
+  chunk, counters bit-identical;
+- **cache cascade** — ``CacheHierarchy.access_lines`` on the sampled
+  line stream of a 4K-footprint encode: the stack-distance classifier
+  against the scalar per-set LRU walk, counters and final contents
+  bit-identical.
 
 Each timing path runs scalar and vectorized interleaved for
 ``ROUNDS`` rounds and scores the best-of-rounds ratio, which keeps
@@ -36,7 +40,7 @@ import numpy as np
 from repro import kernels
 from repro.cbp.harness import run_championship
 from repro.cbp.traces import capture_trace
-from repro.core.characterize import characterize
+from repro.core.characterize import characterize, encode_workload
 from repro.trace.instrument import Instrumenter
 from repro.trace.sampling import MidpointReservoir, extract_midpoint_window
 from repro.uarch.branch.base import run_trace, run_trace_batch
@@ -62,6 +66,8 @@ CELL_SPEEDUP_FLOOR = 1.1
 REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
 #: Buffered-capture peak over streaming-capture peak (tracemalloc).
 CAPTURE_STREAM_PEAK_FLOOR = 2.0
+#: Vectorized over scalar L1D->L2->LLC cascade on the 4K capture.
+CACHE_CASCADE_SPEEDUP_FLOOR = 6.0
 
 #: Interleaved scalar/vectorized rounds; best-of is scored.
 ROUNDS = 2
@@ -81,6 +87,13 @@ CAPTURE_WINDOW = 50_000
 #: (the ``REPRO_REPLAY_CHUNK`` default never flushes a 150k-touch
 #: stream mid-capture, which would measure nothing).
 CAPTURE_SINK_WINDOW = 16_384
+#: The cache-cascade leg's capture: a fast-preset encode of the 2160p
+#: clip, whose native footprint overflows the modelled LLC, so all
+#: three levels classify most of the stream.
+CASCADE_CELL = {
+    "encoder": "svt-av1", "video": "chicken", "crf": 30, "preset": 8,
+    "frames": 4,
+}
 #: Sub-traces for the batched-replay leg — many small streams is the
 #: regime batching amortizes (per-call kernel setup dominates the
 #: per-trace loop there).
@@ -184,6 +197,31 @@ def _split_trace(trace, parts):
     ]
 
 
+def _cascade_stream():
+    """Sampled line stream of the cache-cascade leg's encode."""
+    result = encode_workload(
+        CASCADE_CELL["encoder"], CASCADE_CELL["video"],
+        crf=CASCADE_CELL["crf"], preset=CASCADE_CELL["preset"],
+        num_frames=CASCADE_CELL["frames"],
+    )
+    return expand_touches(result.instrumenter, sample_period=8)
+
+
+def _cascade(lines):
+    """A fresh Xeon hierarchy after cascading ``lines`` through it."""
+    hierarchy = CacheHierarchy()
+    hierarchy.access_lines(lines)
+    return hierarchy
+
+
+def _cascade_fingerprint(hierarchy):
+    """Every level's counters and final contents."""
+    return [
+        (level.accesses, level.misses, level.contents())
+        for level in (hierarchy.l1d, hierarchy.l2, hierarchy.llc)
+    ]
+
+
 def _interleaved_best(func):
     """Best-of-ROUNDS seconds per kernel mode, plus every result."""
     seconds = {"scalar": [], "vectorized": []}
@@ -248,6 +286,14 @@ def test_kernel_speedups():
     capture_stream_parity = buffered_print == streaming_print
     capture_stream_peak_ratio = buffered_peak / streaming_peak
 
+    cascade_lines = _cascade_stream()
+    cascade_scalar, cascade_vec, hierarchies = _interleaved_best(
+        lambda: _cascade(cascade_lines)
+    )
+    prints = [_cascade_fingerprint(h) for h in hierarchies]
+    cache_cascade_parity = all(p == prints[0] for p in prints[1:])
+    cache_cascade_speedup = cascade_scalar / cascade_vec
+
     payload = {
         "trace": trace.name,
         "trace_events": len(trace),
@@ -277,6 +323,13 @@ def test_kernel_speedups():
         "capture_stream_peak_ratio": round(capture_stream_peak_ratio, 2),
         "capture_stream_peak_ratio_floor": CAPTURE_STREAM_PEAK_FLOOR,
         "capture_stream_parity": capture_stream_parity,
+        "cache_cascade_cell": CASCADE_CELL,
+        "cache_cascade_lines": int(cascade_lines.size),
+        "cache_cascade_scalar_seconds": round(cascade_scalar, 3),
+        "cache_cascade_vectorized_seconds": round(cascade_vec, 3),
+        "cache_cascade_speedup": round(cache_cascade_speedup, 2),
+        "cache_cascade_speedup_floor": CACHE_CASCADE_SPEEDUP_FLOOR,
+        "cache_cascade_parity": cache_cascade_parity,
     }
     with open(BENCH_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -315,4 +368,12 @@ def test_kernel_speedups():
         f"({streaming_peak / 1024:.0f}KiB vs "
         f"{buffered_peak / 1024:.0f}KiB buffered); "
         f"floor is {CAPTURE_STREAM_PEAK_FLOOR}x"
+    )
+    assert cache_cascade_parity, (
+        "vectorized cache cascade diverged from the scalar walk"
+    )
+    assert cache_cascade_speedup >= CACHE_CASCADE_SPEEDUP_FLOOR, (
+        f"cache cascade only {cache_cascade_speedup:.2f}x faster "
+        f"({cascade_vec:.3f}s vs {cascade_scalar:.3f}s scalar); "
+        f"floor is {CACHE_CASCADE_SPEEDUP_FLOOR}x"
     )

@@ -13,7 +13,9 @@ inputs:
   scale coherently.
 - **cache-batch-scalar-parity** — the vectorized batch classifier and
   the scalar per-line walk produce bit-identical hit/miss statistics,
-  miss traffic, and final cache contents.
+  miss traffic, and final cache contents, on short local streams, long
+  streams cascading in many windows, tags spanning more than 16 bits,
+  and reuse distances near the way count.
 - **replay-scalar-parity** — every predictor's columnar
   :meth:`~repro.uarch.branch.base.BranchPredictor.replay` kernel
   matches the scalar predict/update loop: same mispredict count and
@@ -179,6 +181,26 @@ def _random_lines(rng: np.random.Generator) -> np.ndarray:
     return lines.astype(np.int64)
 
 
+def _wide_lines(rng: np.random.Generator) -> np.ndarray:
+    """Reuse over lines up to 2**40 apart: tag bits above any set index
+    span more than 16 bits, and most lines need 64 bits."""
+    pool = rng.integers(0, 1 << 40, size=int(rng.integers(8, 64)))
+    return pool[rng.integers(0, pool.size, size=int(rng.integers(64, 512)))]
+
+
+def _near_ways_lines(
+    rng: np.random.Generator, config: CacheConfig
+) -> np.ndarray:
+    """Random reuse over about ``ways`` tags in each of a few sets, so
+    reuse distances straddle the way count and the classifier must
+    count most reuse windows exactly."""
+    sets = rng.integers(0, config.num_sets, size=int(rng.integers(1, 5)))
+    tags = max(1, config.ways + int(rng.integers(-2, 3)))
+    count = int(rng.integers(256, 2048))
+    chosen = sets[rng.integers(0, sets.size, size=count)]
+    return chosen + config.num_sets * rng.integers(0, tags, size=count)
+
+
 def _cache_level_cascade(rng: np.random.Generator, case: int) -> list[str]:
     failures: list[str] = []
     hierarchy = _small_hierarchy()
@@ -213,34 +235,55 @@ def _cache_batch_scalar_parity(
     rng: np.random.Generator, case: int
 ) -> list[str]:
     failures: list[str] = []
-    lines = _random_lines(rng)
-    batched = _small_hierarchy()
-    scalar = _small_hierarchy()
-    with kernels.vectorized_kernels():
-        batched.access_lines(lines)
-    with kernels.scalar_kernels():
-        for line in lines.tolist():
-            scalar.access_line(line)
-    for name in ("l1d", "l2", "llc"):
-        a, b = getattr(batched, name), getattr(scalar, name)
-        if (a.accesses, a.misses) != (b.accesses, b.misses):
-            failures.append(
-                f"case {case}: {name} batch ({a.accesses}, {a.misses}) != "
-                f"scalar ({b.accesses}, {b.misses})"
-            )
-        if a._sets != b._sets:
-            failures.append(
-                f"case {case}: {name} final contents diverge between "
-                "batch and scalar paths"
-            )
+    llc = _small_hierarchy().llc.config
+    # Each draw reaches a different part of the classifier: a short
+    # local stream; a long one cascading in many windows; tags spanning
+    # more than 16 bits (the full-tag sort, 64-bit lines); and reuse
+    # distances near the LLC's way count (the exact pass).
+    long_lines = np.concatenate(
+        [_random_lines(rng) for _ in range(int(rng.integers(8, 17)))]
+    )
+    draws = (
+        ("short", _random_lines(rng), 0),
+        ("long", long_lines, int(rng.integers(64, 1024))),
+        ("wide", _wide_lines(rng), 0),
+        ("near-ways", _near_ways_lines(rng, llc), 0),
+    )
+    for label, lines, window in draws:
+        batched = _small_hierarchy()
+        scalar = _small_hierarchy()
+        with kernels.vectorized_kernels(), kernels.stream_chunk(window):
+            batched.access_lines(lines)
+        with kernels.scalar_kernels():
+            for line in lines.tolist():
+                scalar.access_line(line)
+        for name in ("l1d", "l2", "llc"):
+            a, b = getattr(batched, name), getattr(scalar, name)
+            if (a.accesses, a.misses) != (b.accesses, b.misses):
+                failures.append(
+                    f"case {case} ({label}): {name} batch "
+                    f"({a.accesses}, {a.misses}) != scalar "
+                    f"({b.accesses}, {b.misses})"
+                )
+            if a.contents() != b.contents():
+                failures.append(
+                    f"case {case} ({label}): {name} final contents "
+                    "diverge between batch and scalar paths"
+                )
     # One level, multiple batches: the classifier's stream-ordered miss
     # traffic and carried warm state must match the scalar walk.
     ways = int(rng.integers(1, 5))
     nsets = 1 << int(rng.integers(0, 5))
     config = CacheConfig("parity", nsets * ways * 64, ways)
     vec_cache, ref_cache = Cache(config), Cache(config)
-    for _ in range(int(rng.integers(1, 4))):
-        batch = _random_lines(rng)
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            batch = _random_lines(rng)
+        elif kind == 1:
+            batch = _wide_lines(rng)
+        else:
+            batch = _near_ways_lines(rng, config)
         with kernels.vectorized_kernels():
             vec_miss = vec_cache.access_batch(batch)
         with kernels.scalar_kernels():
@@ -251,7 +294,7 @@ def _cache_batch_scalar_parity(
                 "scalar walk"
             )
             break
-    if vec_cache._sets != ref_cache._sets:
+    if vec_cache.contents() != ref_cache.contents():
         failures.append(
             f"case {case}: classifier final contents diverge from the "
             "scalar walk"
@@ -506,7 +549,7 @@ def _capture_stream_parity(rng: np.random.Generator, case: int) -> list[str]:
                 f"case {case}: {name} buffered ({a.accesses}, {a.misses}) "
                 f"!= streamed ({b.accesses}, {b.misses})"
             )
-        if a._sets != b._sets:
+        if a.contents() != b.contents():
             failures.append(
                 f"case {case}: {name} final contents diverge between "
                 "buffered and streamed capture"

@@ -189,7 +189,7 @@ class TestChunkBoundaries:
         for name in ("l1d", "l2", "llc"):
             a, b = getattr(hier_b, name), getattr(hier_s, name)
             assert (a.accesses, a.misses) == (b.accesses, b.misses)
-            assert a._sets == b._sets
+            assert a.contents() == b.contents()
 
 
 class TestStreamingCollect:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.errors import SimulationError
 from repro.trace.instrument import Instrumenter
 from repro.uarch.cache import (
+    XEON_LLC,
     Cache,
     CacheConfig,
     CacheHierarchy,
@@ -74,6 +76,18 @@ class TestCache:
         assert cache.misses == 0
         assert cache.access(1) is True
 
+    def test_contents_mru_first(self):
+        cache = small_cache(size=256, ways=2)  # 2 sets
+        assert cache.contents() == [[], []]
+        for line in (0, 1, 2, 0):
+            cache.access(line)
+        assert cache.contents() == [[0, 2], [1]]
+
+    def test_batch_rejects_negative_lines(self):
+        for scope in (kernels.vectorized_kernels, kernels.scalar_kernels):
+            with scope(), pytest.raises(SimulationError):
+                small_cache().access_batch(np.array([3, -1]))
+
 
 class TestHierarchy:
     def test_miss_cascades(self):
@@ -114,6 +128,17 @@ class TestHierarchy:
     def test_rejects_bad_sample(self):
         with pytest.raises(SimulationError):
             CacheHierarchy(sample_period=3)
+
+    def test_llc_power_of_two_set_count_kept(self):
+        for size, ways, sets in ((8 << 20, 16, 8192), (32 << 10, 8, 64)):
+            llc = CacheHierarchy(llc=CacheConfig("LLC", size, ways)).llc
+            assert llc.config.num_sets == sets
+
+    def test_llc_other_set_counts_round_down(self):
+        assert XEON_LLC.num_sets == 24576
+        assert CacheHierarchy().llc.config.num_sets == 16384
+        llc = CacheHierarchy(llc=CacheConfig("LLC", 3 * 64 * 4, 4)).llc
+        assert llc.config.num_sets == 2
 
     def test_mpki_validates(self):
         h = CacheHierarchy()
@@ -227,7 +252,7 @@ class TestBatchScalarEquivalence:
         assert missed.tolist() == scalar_misses
         assert batched.accesses == scalar.accesses
         assert batched.misses == scalar.misses
-        assert batched._sets == scalar._sets  # identical LRU state
+        assert batched.contents() == scalar.contents()  # identical LRU state
 
     def test_batch_preserves_stream_order(self):
         cache = small_cache(size=256, ways=2)
@@ -265,3 +290,141 @@ class TestBatchScalarEquivalence:
         array = np.array([line], dtype=np.int64)
         assert (len(batched.access_batch(array)) == 0) == scalar.access(line)
         assert batched.misses == scalar.misses
+
+
+def checkpoint(ways):
+    """The classifier's checkpoint spacing for a ``ways``-way cache."""
+    return 1 << (ways - 1).bit_length()
+
+
+def cycle(distinct, length, base=100):
+    """``length`` accesses cycling over ``distinct`` tags (no repeats)."""
+    return [base + k % distinct for k in range(length)]
+
+
+def reuse(before, window):
+    """``before`` fill tags, tag 0, the window, then tag 0 again."""
+    return [1000 + k for k in range(before)] + [0] + list(window) + [0]
+
+
+def assert_matches_scalar(config, batches):
+    """Each batch's miss traffic, then counters and contents, equal the
+    scalar per-line walk of the same batches."""
+    fast, oracle = Cache(config), Cache(config)
+    for batch in batches:
+        batch = np.asarray(batch)
+        with kernels.vectorized_kernels():
+            missed = fast.access_batch(batch)
+        expected = [line for line in batch.tolist() if not oracle.access(line)]
+        assert missed.tolist() == expected
+    assert (fast.accesses, fast.misses) == (oracle.accesses, oracle.misses)
+    assert fast.contents() == oracle.contents()
+
+
+def one_set(ways):
+    return CacheConfig("t", 64 * ways, ways)
+
+
+class TestClassifierBoundaries:
+    """Batch classification at the edges of its checkpoint arithmetic."""
+
+    @pytest.mark.parametrize("ways", [3, 4, 5, 8, 20])
+    def test_window_starting_at_a_checkpoint(self, ways):
+        delta = checkpoint(ways)
+        # Tag 0 sits just before the checkpoint `delta`; its reuse lands
+        # in each position of the block after next, so the window starts
+        # exactly at the reusing access's two-block anchor.
+        for length in range(delta, 2 * delta):
+            for distinct in (ways - 1, ways):
+                stream = reuse(delta - 1, cycle(distinct, length))
+                assert_matches_scalar(one_set(ways), [stream])
+        # ... and reuses within the next block: the window starts
+        # exactly at the reusing access's own block start.
+        for length in range(ways, delta):
+            for distinct in (ways - 1, ways):
+                stream = reuse(delta - 1, cycle(distinct, length))
+                assert_matches_scalar(one_set(ways), [stream])
+
+    @pytest.mark.parametrize("ways", [2, 5, 8, 20])
+    def test_reuse_from_the_first_block(self, ways):
+        delta = checkpoint(ways)
+        for length in range(ways, delta + ways + 1):
+            for distinct in (ways - 1, ways):
+                stream = reuse(0, cycle(max(distinct, 2), length))
+                assert_matches_scalar(one_set(ways), [stream])
+        # Warm tags lead the next batch's stream: reusing them at once
+        # puts the previous access in the warm prefix.
+        warm = list(range(ways))
+        for length in range(1, 2 * delta):
+            batch = cycle(2, length, base=500) + warm[::-1]
+            assert_matches_scalar(one_set(ways), [warm, batch])
+
+    @pytest.mark.parametrize("ways", [4, 20])
+    def test_windows_longer_than_sixteen_checkpoints(self, ways):
+        long = 16 * checkpoint(ways) + 7
+        hit = reuse(3, cycle(ways - 1, long))
+        # Distinct tags early in the window, then a long two-tag run: a
+        # miss the checkpoint next to the reuse cannot prove.
+        miss = reuse(3, [500 + k for k in range(ways)] + cycle(2, long))
+        many = list(range(1, ways - 1))
+        several = many + cycle(2, long) + many
+        assert_matches_scalar(one_set(ways), [hit, miss, several])
+
+    def test_tag_span_wider_than_sixteen_bits(self):
+        rng = np.random.default_rng(5)
+        # Tag bits above the set index spanning just past, and far
+        # past, 16 bits: pairs 2**16 apart would share a 16-bit key.
+        for high in (np.r_[0:20, 65536:65556], np.arange(40) * 70_001):
+            for set_bits in (0, 4):
+                config = CacheConfig("t", 64 * 4 << set_bits, 4)
+                pool = (high << set_bits) + rng.integers(0, 1 << set_bits, 40)
+                batches = [pool[rng.integers(0, 40, 600)] for _ in range(3)]
+                assert_matches_scalar(config, batches)
+
+    def test_lines_beyond_31_bits(self):
+        rng = np.random.default_rng(6)
+        near = 2**31 - 20 + np.arange(40)
+        far = (np.arange(40) << 34) + 3
+        config = CacheConfig("t", 64 * 4 * 8, 4)
+        for pool in (near, far):
+            assert_matches_scalar(
+                config, [pool[rng.integers(0, 40, 500)] for _ in range(3)]
+            )
+        # A 32-bit batch into sets holding wide tags: the warm tags
+        # must keep the classifier 64-bit.
+        small = np.array([8], dtype=np.int32)
+        assert_matches_scalar(one_set(4), [far[1:5], small, far[2:4]])
+
+    @pytest.mark.parametrize(
+        "config",
+        [one_set(4), CacheConfig("t", 64 * 8, 1), one_set(1)],
+        ids=["one-set", "one-way", "one-set-one-way"],
+    )
+    def test_degenerate_geometries(self, config):
+        rng = np.random.default_rng(8)
+        batches = [rng.integers(0, 24, 400) for _ in range(3)]
+        assert_matches_scalar(config, batches)
+
+    def test_warm_state_across_batches(self):
+        rng = np.random.default_rng(9)
+        config = CacheConfig("t", 64 * 3 * 4, 3)
+        batches = [
+            rng.integers(0, rng.integers(8, 64), rng.integers(1, 300))
+            for _ in range(6)
+        ]
+        assert_matches_scalar(config, batches)
+
+    def test_scalar_and_batch_paths_interleave(self):
+        rng = np.random.default_rng(10)
+        config = CacheConfig("t", 64 * 2 * 4, 2)
+        mixed, oracle = Cache(config), Cache(config)
+        for _ in range(4):
+            batch = rng.integers(0, 32, 200)
+            with kernels.vectorized_kernels():
+                missed = mixed.access_batch(batch)
+            assert missed.tolist() == [
+                line for line in batch.tolist() if not oracle.access(line)
+            ]
+            for line in rng.integers(0, 32, 20).tolist():
+                assert mixed.access(line) == oracle.access(line)
+        assert mixed.contents() == oracle.contents()
