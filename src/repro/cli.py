@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands cover the library's workflows:
+Each command covers one of the library's workflows:
 
 ``list``
     Show the available encoders, vbench clips and experiment ids.
@@ -29,11 +29,6 @@ Four commands cover the library's workflows:
     Regenerate the claimed experiments and machine-check the paper's
     claims (plus the simulator's structural invariants) against them;
     exits non-zero when a claim regresses.
-``serve`` / ``submit`` / ``jobs``
-    The encode-farm service: ``serve`` runs the fair-share scheduler
-    loop on a service directory, ``submit`` appends a job to it (from
-    any process), ``jobs`` renders the job board.  ``status`` pointed
-    at a service directory renders the board too.
 """
 
 from __future__ import annotations
@@ -341,110 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(JSONL; default: no history)",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the encode-farm service loop on a service directory",
-    )
-    serve.add_argument(
-        "service_dir", metavar="DIR",
-        help="service directory (created if missing); holds the job "
-             "log, per-job run directories and service metrics",
-    )
-    serve.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N",
-        help="default worker-pool size for jobs that did not pin one "
-             "('auto' = one per core)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed result cache shared by every job "
-             "(default: REPRO_CACHE_DIR, else disabled)",
-    )
-    serve.add_argument(
-        "--max-jobs", type=_nonnegative_int, default=None, metavar="N",
-        help="exit after dispatching N jobs (default: keep serving)",
-    )
-    serve.add_argument(
-        "--idle-exit", type=_positive_float, default=None,
-        metavar="SECONDS",
-        help="exit once the queue has been idle this long "
-             "(default: keep serving)",
-    )
-    serve.add_argument(
-        "--poll-interval", type=_positive_float, default=0.25,
-        metavar="SECONDS",
-        help="queue poll period while idle (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--max-queue-depth", type=_nonnegative_int, default=256,
-        metavar="N",
-        help="admission rejects new jobs past this many queued+running "
-             "jobs (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--tenant", action="append", dest="tenants", default=None,
-        metavar="NAME=WEIGHT[,MAX_ACTIVE[,COST_BUDGET]]",
-        help="fair-share policy for one tenant (repeatable); e.g. "
-             "'ci=2' or 'adhoc=1,4,600' — weight 1, at most 4 active "
-             "jobs, 600 estimated-seconds budget",
-    )
-    serve.add_argument(
-        "--heartbeat-interval", type=_positive_float, default=None,
-        metavar="SECONDS",
-        help="job- and cell-tier heartbeat period (default: 0.5)",
-    )
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit one experiment job to a service directory",
-    )
-    submit.add_argument(
-        "service_dir", metavar="DIR",
-        help="service directory a 'repro serve' process watches",
-    )
-    submit.add_argument("id", choices=experiment_ids())
-    submit.add_argument(
-        "--tenant", default="default",
-        help="tenant the job is accounted to (default: %(default)s)",
-    )
-    submit.add_argument(
-        "--priority", type=int, default=0, metavar="N",
-        help="within-tenant priority, higher dispatches first "
-             "(default: %(default)s)",
-    )
-    submit.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N",
-        help="pin this job's worker-pool size ('auto' = one per core; "
-             "default: the serving process decides)",
-    )
-    submit.add_argument(
-        "--frames", type=_nonnegative_int, default=None, metavar="N",
-        help="frames per encode cell (cost-estimate input)",
-    )
-    submit.add_argument(
-        "--json", action="store_true",
-        help="print the submitted job id as JSON",
-    )
-
-    jobs = sub.add_parser(
-        "jobs", help="list a service directory's jobs"
-    )
-    jobs.add_argument(
-        "service_dir", metavar="DIR",
-        help="service directory written by 'repro serve'",
-    )
-    jobs.add_argument(
-        "--job", default=None, metavar="JOB_ID",
-        help="show only this job",
-    )
-    jobs.add_argument(
-        "--active", action="store_true",
-        help="show only jobs still pending, queued or running",
-    )
-    jobs.add_argument(
-        "--json", action="store_true",
-        help="print the job list as JSON",
-    )
     return parser
 
 
@@ -530,137 +421,12 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenant_policy(text: str):
-    """``NAME=WEIGHT[,MAX_ACTIVE[,COST_BUDGET]]`` -> (name, policy)."""
-    from .service import TenantPolicy
-
-    name, sep, spec = text.partition("=")
-    name = name.strip()
-    if not name or not sep:
-        raise ReproError(
-            f"tenant policy {text!r} must look like NAME=WEIGHT"
-            f"[,MAX_ACTIVE[,COST_BUDGET]]"
-        )
-    parts = [p.strip() for p in spec.split(",")]
-    try:
-        weight = float(parts[0])
-        max_active = int(parts[1]) if len(parts) > 1 and parts[1] else 16
-        budget = (
-            float(parts[2]) if len(parts) > 2 and parts[2] else None
-        )
-    except ValueError:
-        raise ReproError(f"malformed tenant policy {text!r}") from None
-    return name, TenantPolicy(
-        weight=weight, max_active=max_active, cost_budget=budget
-    )
-
-
-def _run_serve_command(args: argparse.Namespace) -> int:
-    """``repro serve``: the encode-farm scheduler loop."""
-    from .service import EncodeFarmService, ServiceConfig
-
-    try:
-        tenants = dict(
-            _parse_tenant_policy(spec) for spec in (args.tenants or ())
-        )
-        config = ServiceConfig(
-            tenants=tenants,
-            max_queue_depth=max(args.max_queue_depth, 1),
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            heartbeat_interval=args.heartbeat_interval or 0.5,
-        )
-        service = EncodeFarmService(args.service_dir, config)
-        dispatched = service.serve(
-            max_jobs=args.max_jobs,
-            idle_exit=args.idle_exit,
-            poll_interval=args.poll_interval,
-        )
-    except SweepInterruptedError as exc:
-        # Same drain contract as 'repro experiment': every in-flight
-        # job is recorded lost and resumes on the next serve.
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 130
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"served {dispatched} job(s) from {args.service_dir}")
-    return 0
-
-
-def _run_submit_command(args: argparse.Namespace) -> int:
-    """``repro submit``: append one job to a service directory."""
-    from .service import submit_job
-
-    try:
-        job_id = submit_job(
-            args.service_dir,
-            args.id,
-            tenant=args.tenant,
-            priority=args.priority,
-            workers=args.workers,
-            num_frames=args.frames,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps({"job_id": job_id, "experiment_id": args.id}))
-    else:
-        print(f"submitted {job_id} ({args.id}, tenant {args.tenant}) "
-              f"to {args.service_dir}")
-    return 0
-
-
-def _run_jobs_command(args: argparse.Namespace) -> int:
-    """``repro jobs``: list/inspect a service directory's jobs."""
-    from .service import load_service_status
-    from .service.status import active_jobs, format_service_status
-
-    try:
-        status = load_service_status(args.service_dir)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.job is not None:
-        matches = [
-            job for job in status["jobs"] if job["job_id"] == args.job
-        ]
-        if not matches:
-            print(f"error: unknown job {args.job!r}", file=sys.stderr)
-            return 2
-        status = dict(status, jobs=matches)
-    elif args.active:
-        status = dict(status, jobs=active_jobs(status))
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-    else:
-        print(format_service_status(status))
-    return 0
-
-
 def _run_status_command(args: argparse.Namespace) -> int:
-    """``repro status``: render a run directory's on-disk state.
-
-    A *service* directory (it has a job log) renders as the job
-    board; anything else renders as a single run directory.
-    """
+    """``repro status``: render a run directory's on-disk state."""
     from dataclasses import asdict
 
     from .obs.runstatus import format_status, load_run_status
-    from .service.status import (
-        format_service_status,
-        is_service_dir,
-        load_service_status,
-    )
 
-    if is_service_dir(args.run_dir):
-        service_status = load_service_status(args.run_dir)
-        if args.json:
-            print(json.dumps(service_status, indent=2, sort_keys=True))
-        else:
-            print(format_service_status(service_status))
-        return 0
     status = load_run_status(args.run_dir)
     if args.json:
         payload = asdict(status)
@@ -795,15 +561,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "bench":
         return _run_bench_command(args)
-
-    if args.command == "serve":
-        return _run_serve_command(args)
-
-    if args.command == "submit":
-        return _run_submit_command(args)
-
-    if args.command == "jobs":
-        return _run_jobs_command(args)
 
     return 1  # pragma: no cover - argparse enforces the choices
 

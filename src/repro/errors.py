@@ -153,18 +153,6 @@ class ShmError(ReproError):
     """
 
 
-class ServiceError(ReproError):
-    """The encode-farm service layer could not operate.
-
-    Raised for service-directory problems (an unreadable or corrupt
-    job log, an unwritable service directory) and for API misuse
-    (submitting an unknown experiment, cancelling a job that is not
-    cancellable).  Admission *rejections* are not errors — a rejected
-    job is a recorded verdict in the job log, because a service that
-    throws at full queues cannot shed load gracefully.
-    """
-
-
 class ObservabilityError(ReproError):
     """A telemetry artifact could not be produced or understood.
 

@@ -58,6 +58,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.connection import wait as mp_wait
 from typing import Any, Iterable, Iterator
 
 from ..cache import ResultCache
@@ -107,6 +108,8 @@ _ENV_HEARTBEAT = "REPRO_HEARTBEAT_INTERVAL"
 _ENV_RESTARTS = "REPRO_MAX_WORKER_RESTARTS"
 _ENV_MISSES = "REPRO_HEARTBEAT_MISSES"
 _ENV_CRASHES = "REPRO_MAX_CELL_CRASHES"
+#: How long a broken pool's exited workers get to report a status.
+_EXIT_SETTLE_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -694,6 +697,34 @@ def _pool_pids(pool: ProcessPoolExecutor) -> list[int]:
     return list(processes)
 
 
+def _reap_broken(pool: ProcessPoolExecutor) -> set[int]:
+    """Read a broken pool's worker exits, then SIGKILL its survivors.
+
+    Returns the pids that exited with a non-zero status.  Workers
+    ignore SIGTERM, so the executor's own teardown leaves a healthy
+    worker running or exiting 0: only the worker that actually died
+    reads as non-zero.  A worker whose sentinel is ready has exited,
+    but its status can lag for a moment (the kernel has not reaped it
+    yet, or the executor's thread is mid-``join``), so those are
+    polled briefly.  Survivors are killed next: their cells are lost
+    and re-dispatched anyway, and from Python 3.12 the executor joins
+    them while holding the lock ``shutdown()`` takes, so a live
+    survivor would hang the shutdown.  Call before ``shutdown()``,
+    which drops the process table.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).items())
+    ready = set(mp_wait([process.sentinel for _, process in processes], 0))
+    exited = [(pid, p) for pid, p in processes if p.sentinel in ready]
+    deadline = time.monotonic() + _EXIT_SETTLE_SECONDS
+    codes = {pid: process.exitcode for pid, process in exited}
+    while None in codes.values() and time.monotonic() < deadline:
+        time.sleep(0.001)
+        codes = {pid: process.exitcode for pid, process in exited}
+    for _, process in processes:
+        process.kill()  # a no-op once the process has been reaped
+    return {pid for pid, code in codes.items() if code}
+
+
 class _Supervisor:
     """Parent-side state for one supervised pooled sweep.
 
@@ -819,21 +850,26 @@ class _Supervisor:
             )
             _kill_pids([pid] if pid is not None else _pool_pids(pool))
 
-    def handle_lost(self, lost: list[Lease]) -> None:
+    def handle_lost(self, lost: list[Lease], crashed: set[int]) -> None:
         """Blame, ledger, poison or requeue every lost lease.
 
         Blame goes to stall-killed leases when the supervisor caused
-        the break, else to leases whose cells demonstrably started
-        (their heartbeat file exists), else — when the worker died
-        before any beat — to every lost lease, which guarantees a
-        repeatedly-crashing cell accumulates blame and the sweep
-        always makes progress toward poisoning it.
+        the break, else to leases whose last heartbeat names a worker
+        in ``crashed`` (the pids that exited non-zero), so a healthy
+        cell running beside a crashing one is requeued blame-free.
+        When no lease maps to a crashed worker, blame falls back to
+        leases whose cells demonstrably started (their heartbeat file
+        exists), else — the worker died before any beat — to every
+        lost lease, which guarantees a repeatedly-crashing cell
+        accumulates blame and the sweep always makes progress toward
+        poisoning it.
         """
         lost.sort(key=lambda lease: lease.index)
         stalled = [lease for lease in lost if lease.stall_killed]
+        died = [lease for lease in lost if lease.beat_pid() in crashed]
         started = [lease for lease in lost if lease.started()]
         blamed = {
-            lease.seq for lease in (stalled or started or lost)
+            lease.seq for lease in (stalled or died or started or lost)
         }
         requeue: list[RunKey] = []
         for lease in lost:
@@ -1122,8 +1158,9 @@ def _run_supervised(
             if not salvaged:
                 lost.append(lease)
         supervisor.inflight.clear()
+        crashed = _reap_broken(broken_pool)
         supervisor.spend_restart(len(lost))
-        supervisor.handle_lost(lost)
+        supervisor.handle_lost(lost, crashed)
         broken_pool.shutdown(wait=False, cancel_futures=True)
         return make_pool()
 

@@ -10,7 +10,8 @@ the resilience integration tests):
   double-counted, every lease resolved;
 - a cell that kills its worker every time is classified poison and
   quarantined as a :class:`~repro.errors.WorkerCrashError` instead of
-  crashing the sweep;
+  crashing the sweep, while a healthy cell lost beside it on every
+  pool break is re-dispatched, not blamed;
 - the restart budget bounds how many pool rebuilds a sweep tolerates;
 - heartbeat/lease primitives round-trip through their sidecar files,
   including a torn final heartbeat line;
@@ -249,6 +250,34 @@ class TestPoisonCells:
         assert len(quarantined) == 1
         assert "game1" in quarantined[0]["cell"]
         assert "crashed its worker" in quarantined[0]["error"]
+        assert _supervision(result)["poison_cells"] == 1
+        assert RunLedger(ledger).unresolved_leases() == []
+
+    def test_slow_neighbour_of_a_poison_cell_is_not_blamed(
+        self, stub_characterize, monkeypatch, tmp_path
+    ):
+        # game1:35 is still running whenever game1:60 kills its worker,
+        # so it is lost on every break; only the dead worker's cell
+        # may take the crash blame.
+        fake = session_mod.characterize
+
+        def slow_neighbour(codec, video, *args, crf=None, **kwargs):
+            if getattr(video, "name", video) == "game1" and crf == 35:
+                time.sleep(1.0)
+            return fake(codec, video, *args, crf=crf, **kwargs)
+
+        monkeypatch.setattr(session_mod, "characterize", slow_neighbour)
+        plan = FaultPlan.parse("cell:svt-av1:game1:60:*@kill@times=*")
+        ledger = str(tmp_path / "neighbour.jsonl")
+        result = run_experiment(
+            "fig04", workers=WORKERS, fault_plan=plan,
+            ledger_path=ledger, **FAST_HB,
+        )
+        quarantined = [q["cell"] for q in result.provenance["quarantined"]]
+        assert len(quarantined) == 1
+        assert ":game1:60:" in quarantined[0]
+        assert len(result.tables[0].rows) == GRID_CELLS - 1
+        assert ("game1", 35) in {row[:2] for row in result.tables[0].rows}
         assert _supervision(result)["poison_cells"] == 1
         assert RunLedger(ledger).unresolved_leases() == []
 

@@ -112,43 +112,3 @@ class TestWorkersArgument:
 
     def test_auto_accepted(self, capsys):
         assert main(["experiment", "table1", "--workers", "auto"]) == 0
-
-
-class TestServiceCommands:
-    def test_submit_serve_jobs_round_trip(self, capsys, tmp_path):
-        import json
-        import os
-
-        service_dir = str(tmp_path / "farm")
-        assert main([
-            "submit", service_dir, "table1", "--tenant", "ci",
-            "--priority", "2", "--json",
-        ]) == 0
-        job_id = json.loads(capsys.readouterr().out)["job_id"]
-
-        assert main([
-            "serve", service_dir, "--max-jobs", "1",
-            "--tenant", "ci=2,8",
-        ]) == 0
-        assert "served 1 job(s)" in capsys.readouterr().out
-
-        assert main(["jobs", service_dir, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        (job,) = doc["jobs"]
-        assert job["job_id"] == job_id
-        assert job["state"] == "completed"
-        assert os.path.isfile(
-            os.path.join(service_dir, "jobs", job_id, "result.json")
-        )
-
-        # `repro status` pointed at a service dir renders the board.
-        assert main(["status", service_dir]) == 0
-        assert job_id in capsys.readouterr().out
-
-    def test_jobs_on_non_service_dir_fails(self, tmp_path, capsys):
-        assert main(["jobs", str(tmp_path)]) == 2
-        assert "not a service directory" in capsys.readouterr().err
-
-    def test_submit_unknown_experiment_fails(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["submit", str(tmp_path / "farm"), "fig99"])

@@ -1,9 +1,10 @@
 """Unit tests for the content-addressed result cache.
 
 Covers the key scheme (``repro.cache.keys``), the on-disk store
-(``repro.cache.store``) and the session integration: a rerun served
-from cache, invalidation on salt/machine/schema changes, and graceful
-recovery from corrupted entries.
+(``repro.cache.store``) with its read-through remote tier, and the
+session integration: a rerun served from cache, invalidation on
+salt/machine/schema changes, and graceful recovery from corrupted
+entries.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.cache import (
 )
 from repro.core.session import Session
 from repro.errors import CacheError
+from repro.obs import ObsContext, activate_obs
 from repro.uarch.machine import XEON_E5_2650_V4
 
 from tests.test_resilience_integration import synthetic_report
@@ -153,6 +155,88 @@ class TestResultCacheStore:
         assert default_cache_dir() == str(tmp_path)
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert default_cache_dir() == os.path.join(".repro", "cache")
+
+
+class TestRemoteTier:
+    KEY = "ab" + "2" * 62
+
+    @staticmethod
+    def _counted(action):
+        """Run ``action`` under a fresh ObsContext; (result, counters)."""
+        obs = ObsContext()
+        with activate_obs(obs):
+            result = action()
+        return result, obs.metrics.snapshot()["counters"]
+
+    def test_put_mirrors_to_the_remote(self, tmp_path):
+        remote = tmp_path / "remote"
+        cache = ResultCache(str(tmp_path / "local"), remote=str(remote))
+        written, counters = self._counted(
+            lambda: cache.put(self.KEY, {"ipc": 2.0})
+        )
+        assert written
+        mirrored = remote / "ab" / f"{self.KEY}.json"
+        assert mirrored.read_text() == (
+            tmp_path / "local" / "ab" / f"{self.KEY}.json"
+        ).read_text()
+        assert counters["cache.remote.writes"] == 1
+
+    def test_local_miss_reads_through_and_promotes(self, tmp_path):
+        remote = str(tmp_path / "remote")
+        ResultCache(str(tmp_path / "a"), remote=remote).put(self.KEY, [1, 2])
+        reader = ResultCache(str(tmp_path / "b"), remote=remote)
+        payload, counters = self._counted(lambda: reader.get(self.KEY))
+        assert payload == [1, 2]
+        assert counters["cache.remote.hits"] == 1
+        assert counters["cache.remote.promotions"] == 1
+        # Hits and misses keep their single-tier meaning.
+        assert "cache.hits" not in counters
+        assert "cache.misses" not in counters
+        assert (reader.hits, reader.misses, reader.remote_hits) == (0, 0, 1)
+        assert (tmp_path / "b" / "ab" / f"{self.KEY}.json").exists()
+        # The promoted entry now serves from the local tier.
+        payload, counters = self._counted(lambda: reader.get(self.KEY))
+        assert payload == [1, 2]
+        assert counters == {"cache.hits": 1}
+
+    @pytest.mark.parametrize(
+        "body", ["{truncated", json.dumps({"schema_version": -1})]
+    )
+    def test_corrupt_remote_entry_is_a_miss_and_kept(self, tmp_path, body):
+        remote = tmp_path / "remote"
+        entry = remote / "ab" / f"{self.KEY}.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text(body)
+        reader = ResultCache(str(tmp_path / "local"), remote=str(remote))
+        payload, counters = self._counted(lambda: reader.get(self.KEY))
+        assert payload is None
+        assert counters["cache.remote.errors"] == 1
+        assert counters["cache.misses"] == 1
+        assert "cache.remote.hits" not in counters
+        assert entry.read_text() == body  # someone else's tier: kept
+        assert len(reader) == 0
+
+    def test_empty_remote_overrides_the_environment(
+        self, monkeypatch, tmp_path
+    ):
+        remote = tmp_path / "remote"
+        monkeypatch.setenv("REPRO_CACHE_REMOTE", str(remote))
+        assert ResultCache(str(tmp_path / "a")).remote == str(remote)
+        cache = ResultCache(str(tmp_path / "b"), remote="")
+        assert cache.remote is None
+        assert cache.put(self.KEY, 1)
+        assert not remote.exists()
+
+    def test_put_succeeds_when_the_remote_cannot_be_written(self, tmp_path):
+        blocker = tmp_path / "remote-is-a-file"
+        blocker.write_text("")
+        cache = ResultCache(str(tmp_path / "local"), remote=str(blocker))
+        written, counters = self._counted(lambda: cache.put(self.KEY, 7))
+        assert written is True
+        assert counters["cache.writes"] == 1
+        assert counters["cache.remote.errors"] == 1
+        assert "cache.errors" not in counters
+        assert cache.get(self.KEY) == 7
 
 
 class TestSessionCacheIntegration:
