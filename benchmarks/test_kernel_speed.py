@@ -17,7 +17,12 @@ Times the in-cell hot paths the kernel layer vectorizes:
 - **cache cascade** — ``CacheHierarchy.access_lines`` on the sampled
   line stream of a 4K-footprint encode: the stack-distance classifier
   against the scalar per-set LRU walk, counters and final contents
-  bit-identical.
+  bit-identical;
+- **entropy coder** — ``CoefficientCoder.code_block`` over every
+  quantised block of a 4K-footprint encode, from fresh contexts and a
+  fresh range coder: the fused coder against the scalar per-bin coder,
+  stream bytes, per-block bits and symbols and every context's final
+  probability identical.
 
 Each timing path runs scalar and vectorized interleaved for
 ``ROUNDS`` rounds and scores the best-of-rounds ratio, which keeps
@@ -34,12 +39,14 @@ import json
 import os
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
 from repro import kernels
 from repro.cbp.harness import run_championship
 from repro.cbp.traces import capture_trace
+from repro.codecs.entropy import BoolEncoder, CoefficientCoder, ContextSet
 from repro.core.characterize import characterize, encode_workload
 from repro.trace.instrument import Instrumenter
 from repro.trace.sampling import MidpointReservoir, extract_midpoint_window
@@ -68,6 +75,8 @@ REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
 CAPTURE_STREAM_PEAK_FLOOR = 2.0
 #: Vectorized over scalar L1D->L2->LLC cascade on the 4K capture.
 CACHE_CASCADE_SPEEDUP_FLOOR = 6.0
+#: Fused over scalar coefficient coding of the 4K encode's blocks.
+ENTROPY_CODER_SPEEDUP_FLOOR = 3.0
 
 #: Interleaved scalar/vectorized rounds; best-of is scored.
 ROUNDS = 2
@@ -94,6 +103,9 @@ CASCADE_CELL = {
     "encoder": "svt-av1", "video": "chicken", "crf": 30, "preset": 8,
     "frames": 4,
 }
+#: The entropy-coder leg's encode: the cache-cascade cell, with enough
+#: frames that the fused coder runs for at least about 0.2 s per pass.
+ENTROPY_CELL = dict(CASCADE_CELL, frames=64)
 #: Sub-traces for the batched-replay leg — many small streams is the
 #: regime batching amortizes (per-call kernel setup dominates the
 #: per-trace loop there).
@@ -222,6 +234,39 @@ def _cascade_fingerprint(hierarchy):
     ]
 
 
+def _entropy_blocks():
+    """Every ``(levels, ctx_prefix)`` the entropy-coder leg's encode codes."""
+    blocks = []
+    code_block = CoefficientCoder.code_block
+
+    def record(coder, levels, ctx_prefix):
+        blocks.append((levels.copy(), ctx_prefix))
+        return code_block(coder, levels, ctx_prefix)
+
+    with mock.patch.object(CoefficientCoder, "code_block", record):
+        encode_workload(
+            ENTROPY_CELL["encoder"], ENTROPY_CELL["video"],
+            crf=ENTROPY_CELL["crf"], preset=ENTROPY_CELL["preset"],
+            num_frames=ENTROPY_CELL["frames"],
+        )
+    return blocks
+
+
+def _code_blocks(blocks):
+    """Code ``blocks`` from fresh contexts and a fresh range coder.
+
+    Returns everything the parity check compares: per-block
+    ``(bits, symbols)``, the stream bytes and each context's final
+    probability.
+    """
+    contexts = ContextSet()
+    encoder = BoolEncoder()
+    coder = CoefficientCoder(contexts, encoder)
+    coded = [coder.code_block(levels, prefix) for levels, prefix in blocks]
+    probs = {name: ctx.prob for name, ctx in contexts._contexts.items()}
+    return coded, encoder.finish(), probs
+
+
 def _interleaved_best(func):
     """Best-of-ROUNDS seconds per kernel mode, plus every result."""
     seconds = {"scalar": [], "vectorized": []}
@@ -294,6 +339,13 @@ def test_kernel_speedups():
     cache_cascade_parity = all(p == prints[0] for p in prints[1:])
     cache_cascade_speedup = cascade_scalar / cascade_vec
 
+    entropy_blocks = _entropy_blocks()
+    entropy_scalar, entropy_fused, coded = _interleaved_best(
+        lambda: _code_blocks(entropy_blocks)
+    )
+    entropy_coder_parity = all(c == coded[0] for c in coded[1:])
+    entropy_coder_speedup = entropy_scalar / entropy_fused
+
     payload = {
         "trace": trace.name,
         "trace_events": len(trace),
@@ -330,6 +382,14 @@ def test_kernel_speedups():
         "cache_cascade_speedup": round(cache_cascade_speedup, 2),
         "cache_cascade_speedup_floor": CACHE_CASCADE_SPEEDUP_FLOOR,
         "cache_cascade_parity": cache_cascade_parity,
+        "entropy_coder_cell": ENTROPY_CELL,
+        "entropy_coder_blocks": len(entropy_blocks),
+        "entropy_coder_symbols": sum(symbols for _, symbols in coded[0][0]),
+        "entropy_coder_scalar_seconds": round(entropy_scalar, 3),
+        "entropy_coder_fused_seconds": round(entropy_fused, 3),
+        "entropy_coder_speedup": round(entropy_coder_speedup, 2),
+        "entropy_coder_speedup_floor": ENTROPY_CODER_SPEEDUP_FLOOR,
+        "entropy_coder_parity": entropy_coder_parity,
     }
     with open(BENCH_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -376,4 +436,12 @@ def test_kernel_speedups():
         f"cache cascade only {cache_cascade_speedup:.2f}x faster "
         f"({cascade_vec:.3f}s vs {cascade_scalar:.3f}s scalar); "
         f"floor is {CACHE_CASCADE_SPEEDUP_FLOOR}x"
+    )
+    assert entropy_coder_parity, (
+        "fused coefficient coder diverged from the scalar coder"
+    )
+    assert entropy_coder_speedup >= ENTROPY_CODER_SPEEDUP_FLOOR, (
+        f"fused entropy coder only {entropy_coder_speedup:.2f}x faster "
+        f"({entropy_fused:.3f}s vs {entropy_scalar:.3f}s scalar); "
+        f"floor is {ENTROPY_CODER_SPEEDUP_FLOOR}x"
     )

@@ -9,6 +9,13 @@ are self-consistent (round-trip tests) and to support the decode path.
 
 Probabilities are expressed as ``P(bit == 0)`` in ``[1, 255]`` out of
 256.
+
+Every byte leaves the encoder through :func:`shift_low`, the one carry
+implementation: :class:`BoolEncoder` calls it, and so does the fused
+coefficient loop in :mod:`.coefcode`, which keeps an encoder's state in
+locals for the length of a block.  Either side of a bin's split is at
+least ``range >> 8`` (``prob`` is in ``[1, 255]``), so a range kept at
+``2**24`` or more is restored by one byte shift after any bin.
 """
 
 from __future__ import annotations
@@ -24,6 +31,27 @@ def _check_prob(prob: int) -> None:
         raise CodecError(f"probability {prob} outside [1, 255]")
 
 
+def shift_low(
+    low: int, cache: int, pending: int, out: bytearray
+) -> tuple[int, int, int]:
+    """Shift the top byte out of ``low``, resolving carries (LZMA's ShiftLow).
+
+    ``cache`` is the last byte not yet written and ``pending`` counts it
+    plus the ``0xFF`` bytes behind it that a carry could still bump.
+    Returns the new ``(low, cache, pending)``.
+    """
+    if low < 0xFF000000 or low > _MASK32:
+        carry = low >> 32
+        out.append((cache + carry) & 0xFF)
+        if pending > 1:
+            out.extend(bytes(((0xFF + carry) & 0xFF,)) * (pending - 1))
+        cache = (low >> 24) & 0xFF
+        pending = 1
+    else:
+        pending += 1
+    return (low << 8) & _MASK32, cache, pending
+
+
 class BoolEncoder:
     """Binary range encoder with LZMA-style carry propagation."""
 
@@ -34,20 +62,6 @@ class BoolEncoder:
         self._cache_size = 1
         self._buffer = bytearray()
         self._finished = False
-
-    def _shift_low(self) -> None:
-        if self._low < 0xFF000000 or self._low > _MASK32:
-            carry = self._low >> 32
-            out = self._cache
-            while True:
-                self._buffer.append((out + carry) & 0xFF)
-                out = 0xFF
-                self._cache_size -= 1
-                if self._cache_size == 0:
-                    break
-            self._cache = (self._low >> 24) & 0xFF
-        self._cache_size += 1
-        self._low = (self._low << 8) & _MASK32
 
     def encode(self, bit: int, prob: int = 128) -> None:
         """Encode one bit with ``P(bit == 0) = prob / 256``."""
@@ -60,13 +74,15 @@ class BoolEncoder:
             self._range -= bound
         else:
             self._range = bound
-        while self._range < _TOP:
-            self._range = (self._range << 8) & _MASK32
-            self._shift_low()
+        if self._range < _TOP:
+            self._range <<= 8
+            self._low, self._cache, self._cache_size = shift_low(
+                self._low, self._cache, self._cache_size, self._buffer
+            )
 
     def encode_literal(self, value: int, bits: int) -> None:
         """Encode ``bits`` raw bits of ``value`` MSB-first at p = 1/2."""
-        if bits < 0 or value < 0 or value >= 1 << max(bits, 1):
+        if bits < 0 or value < 0 or value >= 1 << bits:
             raise CodecError(f"literal {value} does not fit in {bits} bits")
         for shift in range(bits - 1, -1, -1):
             self.encode((value >> shift) & 1, 128)
@@ -75,7 +91,9 @@ class BoolEncoder:
         """Flush and return the complete bitstream."""
         if not self._finished:
             for _ in range(5):
-                self._shift_low()
+                self._low, self._cache, self._cache_size = shift_low(
+                    self._low, self._cache, self._cache_size, self._buffer
+                )
             self._finished = True
         return bytes(self._buffer)
 

@@ -2,16 +2,23 @@
 
 Two paths, matching real encoder structure:
 
-- :func:`fast_rate_estimate` — the vectorised table-style rate model
+- :func:`fast_rate_estimate` — the context-free table-style rate model
   used inside the RD search loop, where candidates are far too numerous
-  to arithmetic-code;
+  to arithmetic-code.  :func:`fast_rate_estimate_batch` and
+  :func:`fast_rate_estimate_groups` evaluate it over tile stacks in
+  integers, exactly equal to the per-tile function;
 - :class:`CoefficientCoder` — the real adaptive-context bool-coded
   path, run once per *chosen* block to emit actual bitstream bytes.
+  Its scalar path codes bin by bin through :class:`AdaptiveBit` and
+  :meth:`BoolEncoder.encode` and is the executable spec; the default
+  path is one fused loop that keeps the range coder's state in locals
+  and matches it in bytes, bits, symbols and context state.
 
 Coefficients are scanned in zigzag order; syntax per coefficient is a
 significance flag, an escalating magnitude code (unary-then-literal,
-an exp-Golomb shape) and a sign bit — the common skeleton of the
-H.264 CAVLC/CABAC, VP9 and AV1 coefficient coders.
+an exp-Golomb shape), a sign bit and a last-coefficient flag — the
+common skeleton of the H.264 CAVLC/CABAC, VP9 and AV1 coefficient
+coders.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from ... import kernels
 from ...errors import CodecError
-from .arithmetic import BoolEncoder
+from .arithmetic import _TOP, BoolEncoder, shift_low
 from .cdf import COST_ONE_BITS, COST_ZERO_BITS, AdaptiveBit, ContextSet
 
 
@@ -67,72 +74,58 @@ def fast_rate_estimate(levels: np.ndarray) -> float:
     return 1.0 + significance_bits + magnitude_bits + sign_bits
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_rank(size: int) -> np.ndarray:
+    """1 + each raster position's index in the zigzag scan of a block."""
+    rank = np.empty(size * size, dtype=np.int64)
+    rank[zigzag_order(size)] = np.arange(1, size * size + 1)
+    return rank
+
+
 def fast_rate_estimate_batch(levels: np.ndarray) -> float:
     """Vectorised :func:`fast_rate_estimate` over an ``(n, s, s)`` stack.
 
-    Returns the summed estimate for all tiles; per-tile semantics match
-    :func:`fast_rate_estimate` exactly (a regression test pins this).
+    Returns the summed estimate for all tiles, which equals the sum of
+    per-tile :func:`fast_rate_estimate` values exactly (a regression
+    test pins this).
     """
     if levels.ndim != 3 or levels.shape[1] != levels.shape[2]:
         raise CodecError(f"expected (n, s, s) level stack, got {levels.shape}")
-    n, size, _ = levels.shape
-    if n == 0:
-        return 0.0
-    order = zigzag_order(size)
-    scanned = levels.reshape(n, -1)[:, order]
-    nonzero = scanned != 0
-    any_nz = nonzero.any(axis=1)
-    # Last-nonzero position + 1 per tile (0 where empty).
-    eob = np.where(
-        any_nz, size * size - nonzero[:, ::-1].argmax(axis=1), 0
-    ).astype(np.float64)
-    mags = np.abs(scanned).astype(np.float64)
-    mag_bits = np.where(
-        nonzero, 2.0 * np.ceil(np.log2(mags + 1.0)) + 1.0, 0.0
-    ).sum(axis=1)
-    sign_bits = nonzero.sum(axis=1).astype(np.float64)
-    per_tile = np.where(any_nz, 1.0 + eob + mag_bits + sign_bits, 1.0)
-    return float(per_tile.sum())
+    return fast_rate_estimate_groups(levels[None])[0]
 
 
 def fast_rate_estimate_groups(levels: np.ndarray) -> list[float]:
     """:func:`fast_rate_estimate_batch` of every ``(n, s, s)`` group in
     a ``(g, n, s, s)`` stack, in one vectorised pass.
 
-    The per-tile model is evaluated over the flattened stack with the
-    exact expressions of the per-group call, and each group's total is
-    the sum of its own (contiguous) row of per-tile estimates — so
-    every returned value is bit-identical to calling
-    :func:`fast_rate_estimate_batch` on that group alone.
+    Computed in integers from the integer levels: for a magnitude
+    ``m >= 1``, ``2*ceil(log2(m + 1)) + 1 == 2*bit_length(m) + 1``.  A
+    tile then costs ``1 + eob + 2 * sum(bit_length + 1)`` over its
+    nonzeros (an empty tile the 1-bit coded-block flag), and every
+    total is a small integer, exact in any summation order.
     """
     if levels.ndim != 4 or levels.shape[2] != levels.shape[3]:
         raise CodecError(f"expected (g, n, s, s) level stack, got {levels.shape}")
     g, n, size, _ = levels.shape
     if g == 0 or n == 0:
         return [0.0] * g
-    order = zigzag_order(size)
-    scanned = levels.reshape(g * n, -1)[:, order]
-    nonzero = scanned != 0
-    any_nz = nonzero.any(axis=1)
-    eob = np.where(
-        any_nz, size * size - nonzero[:, ::-1].argmax(axis=1), 0
-    ).astype(np.float64)
-    mags = np.abs(scanned).astype(np.float64)
-    mag_bits = np.where(
-        nonzero, 2.0 * np.ceil(np.log2(mags + 1.0)) + 1.0, 0.0
-    ).sum(axis=1)
-    sign_bits = nonzero.sum(axis=1).astype(np.float64)
-    per_tile = np.where(any_nz, 1.0 + eob + mag_bits + sign_bits, 1.0).reshape(g, n)
-    return per_tile.sum(axis=1).tolist()
+    flat = levels.reshape(g, n, size * size)
+    # A tile's end of block is its largest nonzero scan rank (0 if none).
+    eobs = np.where(flat, _scan_rank(size), 0).max(axis=2).sum(axis=1)
+    # frexp's exponent of 2v is bit_length(|v|) + 1, and 0 for v == 0.
+    coded = np.frexp(flat * 2.0)[1].sum(axis=(1, 2))
+    return [
+        float(n + eob + 2 * lengths)
+        for eob, lengths in zip(eobs.tolist(), coded.tolist())
+    ]
 
 
 @functools.lru_cache(maxsize=None)
 def _context_names(ctx_prefix: str) -> tuple:
-    """Precomputed context-name tables for one block class.
+    """The context names of one block class, built once per prefix.
 
-    The adaptive coder names contexts with per-bit f-strings; building
-    those strings dominates the coding loop, so the fast path interns
-    them once per (prefix, band, level).
+    The scalar coder names contexts with per-bit f-strings; the fused
+    loop looks up these interned names instead.
     """
     cbf = f"{ctx_prefix}.cbf"
     sig = tuple(f"{ctx_prefix}.sig{band}" for band in range(6))
@@ -142,6 +135,40 @@ def _context_names(ctx_prefix: str) -> tuple:
         for band in range(6)
     )
     return cbf, sig, last, mag
+
+
+@functools.lru_cache(maxsize=None)
+def _next_probs(rate: int) -> tuple[list[int], list[int]]:
+    """Each probability's successor after coding a 0, and after a 1.
+
+    Built on first use per adaptation rate by running
+    :meth:`AdaptiveBit.update` itself, clamp included, so stepping a
+    probability through these lists is exact.  Index 0 is never read:
+    a context's probability stays in ``[1, 255]``.
+    """
+    after: tuple[list[int], list[int]] = ([0] * 256, [0] * 256)
+    for bit, table in enumerate(after):
+        for prob in range(1, 256):
+            ctx = AdaptiveBit(prob, rate)
+            ctx.update(bit)
+            table[prob] = ctx.prob
+    return after
+
+
+def _enter_context(
+    ctxmap: dict[str, AdaptiveBit], name: str, initial: int, rate: int
+) -> AdaptiveBit:
+    """Context ``name`` as the fused loop takes it up.
+
+    Created on first use as :meth:`ContextSet.get` does; an existing
+    context's probability is checked here, once, instead of per bin.
+    """
+    ctx = ctxmap.get(name)
+    if ctx is None:
+        ctx = ctxmap[name] = AdaptiveBit(initial, rate)
+    elif not 1 <= ctx.prob <= 255:
+        raise CodecError(f"probability {ctx.prob} outside [1, 255]")
+    return ctx
 
 
 class CoefficientCoder:
@@ -180,7 +207,8 @@ class CoefficientCoder:
             symbols += 1
             if not more:
                 return bits, symbols
-        # Escape: literal remainder, 8-bit cap per literal chunk.
+        # Escape: the remainder's width less one in 4 raw bits, then
+        # the remainder itself.
         remainder = magnitude - 4
         nbits = max(1, remainder.bit_length())
         if self._encoder is not None:
@@ -239,125 +267,194 @@ class CoefficientCoder:
     def _code_block_fast(
         self, levels: np.ndarray, ctx_prefix: str
     ) -> tuple[float, int]:
-        """Scalar-identical ``code_block`` with the per-bit overhead hoisted.
+        """``code_block`` as one fused loop, exactly equal to the scalar path.
 
-        Context names are interned per block class, the cost tables are
-        indexed as plain lists and the :class:`AdaptiveBit` update is
-        inlined; the coded bit sequence, accumulated ``bits`` float and
-        adapted context state are bit-identical to the scalar path.
+        The range coder's ``low``/``range``/carry state stays in locals
+        for the whole block and every bin renormalises through
+        :func:`.arithmetic.shift_low`.  A context enters the loop once
+        per band, where :func:`_enter_context` checks its probability;
+        each bin then steps that probability through the lists of
+        :func:`_next_probs`.  Bins are coded, costs summed and contexts
+        created in the scalar path's order, so the bytes, the ``bits``
+        float, ``symbols`` and every context's final probability equal
+        the scalar path's.
         """
+        stream = self._encoder
+        encoder = stream if stream is not None else BoolEncoder()
+        if encoder._finished:
+            raise CodecError("encoder already finished")
         scanned = scan_levels(levels)
-        nonzero = np.nonzero(scanned)[0]
-        coded = 1 if nonzero.size else 0
+        nonzero = np.flatnonzero(scanned)
+        eob = int(nonzero[-1]) + 1 if nonzero.size else 0
+        values = scanned[:eob].tolist()
+        final = eob - 1
 
         cbf_name, sig_names, last_names, mag_names = _context_names(ctx_prefix)
-        contexts = self._contexts
-        ctxmap = contexts._contexts
-        rate = contexts._rate
-        encoder = self._encoder
-        cost_zero = COST_ZERO_BITS
-        cost_one = COST_ONE_BITS
+        ctxmap = self._contexts._contexts
+        rate = self._contexts._rate
+        after0, after1 = _next_probs(rate)
+        cost0, cost1 = COST_ZERO_BITS, COST_ONE_BITS
+        top = _TOP
+        low, rng = encoder._low, encoder._range
+        cache, pending, out = encoder._cache, encoder._cache_size, encoder._buffer
 
-        bits = 0.0
-        symbols = 1
-        ctx = ctxmap.get(cbf_name)
-        if ctx is None:
-            ctx = AdaptiveBit(initial=140, rate=rate)
-            ctxmap[cbf_name] = ctx
+        ctx = _enter_context(ctxmap, cbf_name, 140, rate)
         prob = ctx.prob
-        bits += cost_one[prob] if coded else cost_zero[prob]
-        if encoder is not None:
-            encoder.encode(coded, prob)
-        if coded:
-            prob -= prob >> rate
+        split = (rng >> 8) * prob
+        if eob:
+            bits = cost1[prob]
+            low += split
+            rng -= split
+            ctx.prob = after1[prob]
         else:
-            prob += (256 - prob) >> rate
-        ctx.prob = min(255, max(1, prob))
-        if not coded:
-            return bits, symbols
+            bits = cost0[prob]
+            rng = split
+            ctx.prob = after0[prob]
+        if rng < top:
+            rng <<= 8
+            low, cache, pending = shift_low(low, cache, pending, out)
+        symbols = 1 + eob
 
-        scanned_list = scanned.tolist()
-        eob = int(nonzero[-1]) + 1
-        last_pos = eob - 1
-        for pos in range(eob):
-            level = scanned_list[pos]
-            band = pos >> 2
-            if band > 5:
-                band = 5
-            sig = 1 if level else 0
-            ctx = ctxmap.get(sig_names[band])
-            if ctx is None:
-                ctx = AdaptiveBit(initial=110, rate=rate)
-                ctxmap[sig_names[band]] = ctx
-            prob = ctx.prob
-            bits += cost_one[prob] if sig else cost_zero[prob]
-            if encoder is not None:
-                encoder.encode(sig, prob)
-            if sig:
-                prob -= prob >> rate
-            else:
-                prob += (256 - prob) >> rate
-            ctx.prob = min(255, max(1, prob))
-            symbols += 1
-            if not sig:
-                continue
-
-            # Magnitude: unary prefix over gt1..gt3, then literal escape.
-            # Costs fold into a local sum first, matching the scalar
-            # path's float accumulation order bit-for-bit.
-            magnitude = -level if level < 0 else level
+        # One pass per band (4 positions each, band 5 open-ended); none
+        # when the block is empty, as then ``final >> 2`` is -1.
+        for band in range(min(final >> 2, 5) + 1):
+            start = band << 2
+            stop = eob if band == 5 else min(start + 4, eob)
+            sig = _enter_context(ctxmap, sig_names[band], 110, rate)
             gt_names = mag_names[band]
-            mag_bits = 0.0
-            escaped = True
-            for index in range(3):
-                more = 1 if magnitude > index + 1 else 0
-                name = gt_names[index]
-                ctx = ctxmap.get(name)
-                if ctx is None:
-                    ctx = AdaptiveBit(initial=96, rate=rate)
-                    ctxmap[name] = ctx
-                prob = ctx.prob
-                mag_bits += cost_one[prob] if more else cost_zero[prob]
-                if encoder is not None:
-                    encoder.encode(more, prob)
-                if more:
-                    prob -= prob >> rate
+            gt1 = gt2 = gt3 = last = None
+            for pos in range(start, stop):
+                level = values[pos]
+                prob = sig.prob
+                split = (rng >> 8) * prob
+                if level:
+                    bits += cost1[prob]
+                    low += split
+                    rng -= split
+                    sig.prob = after1[prob]
                 else:
-                    prob += (256 - prob) >> rate
-                ctx.prob = min(255, max(1, prob))
-                symbols += 1
-                if not more:
-                    escaped = False
-                    break
-            if escaped:
-                remainder = magnitude - 4
-                nbits = max(1, remainder.bit_length())
-                if encoder is not None:
-                    encoder.encode_literal(nbits - 1, 4)
-                    encoder.encode_literal(remainder, nbits)
-                mag_bits += 4 + nbits
-                symbols += 4 + nbits
-            bits += mag_bits
+                    bits += cost0[prob]
+                    rng = split
+                    sig.prob = after0[prob]
+                if rng < top:
+                    rng <<= 8
+                    low, cache, pending = shift_low(low, cache, pending, out)
+                if not level:
+                    continue
 
-            sign = 1 if level < 0 else 0
-            if encoder is not None:
-                encoder.encode(sign, 128)
-            bits += 1.0
-            symbols += 1
+                # Magnitude: unary gt1..gt3, then the escape literal.
+                # Its costs sum into mag_bits before joining ``bits``,
+                # as the scalar path's do.
+                magnitude = -level if level < 0 else level
+                if gt1 is None:
+                    gt1 = _enter_context(ctxmap, gt_names[0], 96, rate)
+                prob = gt1.prob
+                split = (rng >> 8) * prob
+                if magnitude > 1:
+                    mag_bits = cost1[prob]
+                    low += split
+                    rng -= split
+                    gt1.prob = after1[prob]
+                else:
+                    mag_bits = cost0[prob]
+                    rng = split
+                    gt1.prob = after0[prob]
+                if rng < top:
+                    rng <<= 8
+                    low, cache, pending = shift_low(low, cache, pending, out)
+                symbols += 3  # gt1, sign and last
+                if magnitude > 1:
+                    if gt2 is None:
+                        gt2 = _enter_context(ctxmap, gt_names[1], 96, rate)
+                    prob = gt2.prob
+                    split = (rng >> 8) * prob
+                    if magnitude > 2:
+                        mag_bits += cost1[prob]
+                        low += split
+                        rng -= split
+                        gt2.prob = after1[prob]
+                    else:
+                        mag_bits += cost0[prob]
+                        rng = split
+                        gt2.prob = after0[prob]
+                    if rng < top:
+                        rng <<= 8
+                        low, cache, pending = shift_low(low, cache, pending, out)
+                    symbols += 1
+                if magnitude > 2:
+                    if gt3 is None:
+                        gt3 = _enter_context(ctxmap, gt_names[2], 96, rate)
+                    prob = gt3.prob
+                    split = (rng >> 8) * prob
+                    if magnitude > 3:
+                        mag_bits += cost1[prob]
+                        low += split
+                        rng -= split
+                        gt3.prob = after1[prob]
+                    else:
+                        mag_bits += cost0[prob]
+                        rng = split
+                        gt3.prob = after0[prob]
+                    if rng < top:
+                        rng <<= 8
+                        low, cache, pending = shift_low(low, cache, pending, out)
+                    symbols += 1
+                if magnitude > 3:
+                    # Escape: the remainder's width in 4 raw bits, then
+                    # the remainder itself, as one MSB-first literal.
+                    # Only a stream rejects a width over 16 bits; bit
+                    # accounting counts it, as the scalar path does.
+                    remainder = magnitude - 4
+                    nbits = remainder.bit_length() or 1
+                    if nbits > 16 and stream is not None:
+                        raise CodecError(
+                            f"literal {nbits - 1} does not fit in 4 bits"
+                        )
+                    literal = (nbits - 1) << nbits | remainder
+                    for shift in range(nbits + 3, -1, -1):
+                        half = (rng >> 8) << 7
+                        if literal >> shift & 1:
+                            low += half
+                            rng -= half
+                        else:
+                            rng = half
+                        if rng < top:
+                            rng <<= 8
+                            low, cache, pending = shift_low(
+                                low, cache, pending, out
+                            )
+                    mag_bits += 4 + nbits
+                    symbols += 4 + nbits
+                bits += mag_bits
 
-            last = 1 if pos == last_pos else 0
-            ctx = ctxmap.get(last_names[band])
-            if ctx is None:
-                ctx = AdaptiveBit(initial=128, rate=rate)
-                ctxmap[last_names[band]] = ctx
-            prob = ctx.prob
-            bits += cost_one[prob] if last else cost_zero[prob]
-            if encoder is not None:
-                encoder.encode(last, prob)
-            if last:
-                prob -= prob >> rate
-            else:
-                prob += (256 - prob) >> rate
-            ctx.prob = min(255, max(1, prob))
-            symbols += 1
+                half = (rng >> 8) << 7  # the sign, at p = 1/2
+                if level < 0:
+                    low += half
+                    rng -= half
+                else:
+                    rng = half
+                if rng < top:
+                    rng <<= 8
+                    low, cache, pending = shift_low(low, cache, pending, out)
+                bits += 1.0
+
+                if last is None:
+                    last = _enter_context(ctxmap, last_names[band], 128, rate)
+                prob = last.prob
+                split = (rng >> 8) * prob
+                if pos == final:
+                    bits += cost1[prob]
+                    low += split
+                    rng -= split
+                    last.prob = after1[prob]
+                else:
+                    bits += cost0[prob]
+                    rng = split
+                    last.prob = after0[prob]
+                if rng < top:
+                    rng <<= 8
+                    low, cache, pending = shift_low(low, cache, pending, out)
+
+        encoder._low, encoder._range = low, rng
+        encoder._cache, encoder._cache_size = cache, pending
         return bits, symbols

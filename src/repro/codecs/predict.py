@@ -197,18 +197,19 @@ def extend_neighbours(
     half-range default.  Arrays are extended by edge replication to the
     lengths directional modes need.
     """
-    need_above = width + height
-    need_left = height + width
+    need = width + height  # both arrays: what the directional modes read
     if row > 0:
-        avail = min(need_above, plane.shape[1] - col)
-        above = plane[row - 1, col : col + avail].astype(np.float64)
-        above = np.pad(above, (0, need_above - avail), mode="edge")
+        avail = min(need, plane.shape[1] - col)
+        above = np.empty(need)
+        above[:avail] = plane[row - 1, col : col + avail]
+        above[avail:] = above[avail - 1]
     else:
-        above = np.full(need_above, 128.0)
+        above = np.full(need, 128.0)
     if col > 0:
-        avail = min(need_left, plane.shape[0] - row)
-        left = plane[row : row + avail, col - 1].astype(np.float64)
-        left = np.pad(left, (0, need_left - avail), mode="edge")
+        avail = min(need, plane.shape[0] - row)
+        left = np.empty(need)
+        left[:avail] = plane[row : row + avail, col - 1]
+        left[avail:] = left[avail - 1]
     else:
-        left = np.full(need_left, 128.0)
+        left = np.full(need, 128.0)
     return above, left

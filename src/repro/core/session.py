@@ -279,10 +279,11 @@ class Session:
 
     def prefetch(
         self,
-        specs: Iterable[tuple],
+        specs: Iterable[CellSpec | tuple],
         workers: int | str | None = None,
     ) -> int:
-        """Compute a batch of ``(codec, video, crf, preset)`` cells.
+        """Compute a batch of cells (:class:`CellSpec` or plain
+        ``(codec, video, crf, preset)`` tuples).
 
         With an effective worker count above one (explicit argument,
         ambient :class:`~repro.parallel.pool.ParallelConfig`, or
@@ -298,13 +299,13 @@ class Session:
         """
         from ..parallel.pool import execute_cells, resolve_workers
 
-        specs = list(specs)
+        specs = [CellSpec.of(spec) for spec in specs]
         if resolve_workers(workers) <= 1:
             # Serial grouping win: generate each distinct clip once, up
             # front, so the lazy per-cell loops that follow always hit
             # the video LRU (and batch-friendly callers see all their
             # inputs materialised together).
-            for name in dict.fromkeys(spec[1] for spec in specs):
+            for name in dict.fromkeys(spec.video for spec in specs):
                 try:
                     self.video(name)
                 except VideoError:
@@ -312,8 +313,9 @@ class Session:
             return 0
         wanted = []
         for spec in specs:
-            codec, video, crf, preset = spec
-            key = RunKey(codec, video, crf, preset, self.num_frames)
+            key = RunKey(
+                spec.codec, spec.video, spec.crf, spec.preset, self.num_frames
+            )
             if key in self._reports or key in self._quarantined:
                 continue
             wanted.append(spec)

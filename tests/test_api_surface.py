@@ -2,6 +2,7 @@
 and every ``__all__`` name must resolve."""
 
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -107,4 +108,45 @@ def test_design_module_map_imports():
             missing.append(f"{name}: {exc}")
     assert not missing, "\n".join(
         ["DESIGN.md §3 names modules that do not import:", *missing]
+    )
+
+
+def _trace_targets() -> tuple:
+    """``TARGETS`` of the benchmark's tracer (``perfbench/tracing.py``).
+
+    Loaded from its file: the program never imports the benchmark.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every entry point the per-layer trace wraps is where it looks.
+
+    Resolved the way its ``install()`` does: a dotted name through the
+    class ``__dict__`` (so a method moved to another class is missed),
+    a plain name as a binding of the module it is looked up from (the
+    pipeline imports its kernels by name).  A miss would leave a layer
+    untimed or break ``perfbench/run.py --trace 1``.
+    """
+    targets = _trace_targets()
+    assert len(targets) > 30
+    missing = []
+    for module_name, attribute, layer in targets:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attribute.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        found = (
+            getattr(owner, "__dict__", {}).get(leaf)
+            if path
+            else getattr(owner, leaf, None)
+        )
+        if not callable(found):
+            missing.append(f"{module_name}.{attribute} ({layer})")
+    assert not missing, "trace targets that do not resolve: " + ", ".join(
+        missing
     )

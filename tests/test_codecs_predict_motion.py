@@ -105,6 +105,15 @@ class TestExtendNeighbours:
         assert len(above) == 16
         assert len(left) == 16
 
+    def test_edge_replication_values(self):
+        # An 8x4 block at the right edge: 12 neighbours each, of which
+        # 4 above and 8 left lie inside the plane.
+        plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        above, left = extend_neighbours(plane, 8, 12, 8, 4)
+        assert above.tolist() == plane[7, 12:].tolist() + [plane[7, 15]] * 8
+        assert left.tolist() == plane[8:, 11].tolist() + [plane[15, 11]] * 4
+        assert above.dtype == left.dtype == np.float64
+
 
 def _frame_with_shift(shift_r, shift_c, size=48, seed=0):
     rng = np.random.default_rng(seed)

@@ -174,6 +174,20 @@ class TestPooledDeterminism:
         assert dispatched == 0
         assert stub_characterize == []
 
+    def test_prefetch_takes_cell_specs_serially(self, stub_characterize):
+        # The sweep_specs docstring example, at one worker.
+        session = Session(num_frames=3)
+        specs = sweep_specs("svt-av1", ("desktop", "game1"), 35, 6)
+        assert session.prefetch(specs, workers=1) == 0
+        assert stub_characterize == []
+
+    def test_prefetch_takes_cell_specs_pooled(self, stub_characterize):
+        session = Session(num_frames=3)
+        specs = sweep_specs("svt-av1", ("desktop", "game1"), (10, 35), 6)
+        assert session.prefetch(specs, workers=WORKERS) == len(specs)
+        session.report("svt-av1", "game1", 35, 6)
+        assert stub_characterize == []  # every cell ran in a worker
+
 
 class TestPooledResilience:
     def test_permanent_fault_quarantines_same_cell_as_serial(
