@@ -11,9 +11,11 @@ Times the in-cell hot paths the kernel layer vectorizes:
   ``run_trace_batch`` (one disjoint-index-space kernel call) against
   the per-trace ``run_trace`` loop;
 - **capture stream** — the capture pipeline's peak memory
-  (tracemalloc): buffered whole-stream capture plus post-hoc
-  simulation vs streaming sinks consuming the same events chunk by
-  chunk, counters bit-identical;
+  (tracemalloc): buffered capture plus post-hoc simulation of the
+  whole expanded line stream, against streaming sinks consuming the
+  same events chunk by chunk and against buffered capture simulated
+  through ``simulate_encode_traffic`` (touches expanded group by
+  group), counters bit-identical;
 - **cache cascade** — ``CacheHierarchy.access_lines`` on the sampled
   line stream of a 4K-footprint encode: the stack-distance classifier
   against the scalar per-set LRU walk, counters and final contents
@@ -56,6 +58,7 @@ from repro.uarch.cache import (
     CacheHierarchy,
     TouchStreamSink,
     expand_touches,
+    simulate_encode_traffic,
 )
 from repro.uarch.machine import XEON_E5_2650_V4
 from repro.video import vbench
@@ -73,6 +76,8 @@ CELL_SPEEDUP_FLOOR = 1.1
 REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
 #: Buffered-capture peak over streaming-capture peak (tracemalloc).
 CAPTURE_STREAM_PEAK_FLOOR = 2.0
+#: Buffered-capture peak, whole line stream over grouped expansion.
+CAPTURE_GROUPED_PEAK_FLOOR = 3.0
 #: Vectorized over scalar L1D->L2->LLC cascade on the 4K capture.
 CACHE_CASCADE_SPEEDUP_FLOOR = 6.0
 #: Fused over scalar coefficient coding of the 4K encode's blocks.
@@ -91,8 +96,8 @@ CELL = {"encoder": "svt-av1", "video": "game1", "crf": 30, "preset": 4}
 CAPTURE_BRANCHES = 600_000
 CAPTURE_TOUCHES = 150_000
 CAPTURE_WINDOW = 50_000
-#: Flush threshold for the streaming measurement: the peak is
-#: O(window), so the leg pins a window well below the stream length
+#: Flush threshold for the streaming measurement: the event buffers
+#: are O(window), so the leg pins a window well below the stream length
 #: (the ``REPRO_REPLAY_CHUNK`` default never flushes a 150k-touch
 #: stream mid-capture, which would measure nothing).
 CAPTURE_SINK_WINDOW = 16_384
@@ -145,8 +150,17 @@ def _capture_fingerprint(hierarchy, trace, sim):
     return levels, pcs.tolist(), taken.tolist(), sim
 
 
-def _measure_buffered_capture():
-    """Tracemalloc peak of buffered capture + post-hoc measurement."""
+def _whole_stream_traffic(inst, hierarchy):
+    """Cascade the whole expanded line stream at once."""
+    hierarchy.access_lines(expand_touches(inst, hierarchy.sample_period))
+
+
+def _measure_buffered_capture(simulate):
+    """Tracemalloc peak of buffered capture + post-hoc measurement.
+
+    ``simulate(inst, hierarchy)`` drives the captured touches through
+    the hierarchy.
+    """
     machine = XEON_E5_2650_V4
     tracemalloc.start()
     inst = Instrumenter()
@@ -154,7 +168,7 @@ def _measure_buffered_capture():
     hierarchy = CacheHierarchy(
         machine.l1d, machine.l2, machine.llc, sample_period=8
     )
-    hierarchy.access_lines(expand_touches(inst, hierarchy.sample_period))
+    simulate(inst, hierarchy)
     trace = extract_midpoint_window(
         inst, fraction=CAPTURE_WINDOW / CAPTURE_BRANCHES, name="bench"
     )
@@ -322,14 +336,22 @@ def test_kernel_speedups():
     )
     replay_batch_speedup = min(batch_loop_seconds) / min(batch_seconds)
 
-    # Capture-pipeline peak memory: buffered whole-stream capture plus
-    # post-hoc simulation vs streaming sinks, same events, identical
-    # counters (best-of-rounds is meaningless for peaks; one pass of
-    # each is deterministic).
-    buffered_peak, buffered_print = _measure_buffered_capture()
+    # Capture-pipeline peak memory: buffered capture plus post-hoc
+    # simulation of the whole line stream, vs streaming sinks and vs
+    # grouped buffered simulation; same events, identical counters
+    # (best-of-rounds is meaningless for peaks; one pass of each is
+    # deterministic).
+    buffered_peak, buffered_print = _measure_buffered_capture(
+        _whole_stream_traffic
+    )
+    grouped_peak, grouped_print = _measure_buffered_capture(
+        simulate_encode_traffic
+    )
     streaming_peak, streaming_print = _measure_streaming_capture()
     capture_stream_parity = buffered_print == streaming_print
     capture_stream_peak_ratio = buffered_peak / streaming_peak
+    capture_grouped_parity = buffered_print == grouped_print
+    capture_grouped_peak_ratio = buffered_peak / grouped_peak
 
     cascade_lines = _cascade_stream()
     cascade_scalar, cascade_vec, hierarchies = _interleaved_best(
@@ -375,6 +397,10 @@ def test_kernel_speedups():
         "capture_stream_peak_ratio": round(capture_stream_peak_ratio, 2),
         "capture_stream_peak_ratio_floor": CAPTURE_STREAM_PEAK_FLOOR,
         "capture_stream_parity": capture_stream_parity,
+        "capture_grouped_peak_kib": round(grouped_peak / 1024, 1),
+        "capture_grouped_peak_ratio": round(capture_grouped_peak_ratio, 2),
+        "capture_grouped_peak_ratio_floor": CAPTURE_GROUPED_PEAK_FLOOR,
+        "capture_grouped_parity": capture_grouped_parity,
         "cache_cascade_cell": CASCADE_CELL,
         "cache_cascade_lines": int(cascade_lines.size),
         "cache_cascade_scalar_seconds": round(cascade_scalar, 3),
@@ -428,6 +454,16 @@ def test_kernel_speedups():
         f"({streaming_peak / 1024:.0f}KiB vs "
         f"{buffered_peak / 1024:.0f}KiB buffered); "
         f"floor is {CAPTURE_STREAM_PEAK_FLOOR}x"
+    )
+    assert capture_grouped_parity, (
+        "grouped touch expansion diverged from the whole-stream cascade"
+    )
+    assert capture_grouped_peak_ratio >= CAPTURE_GROUPED_PEAK_FLOOR, (
+        f"grouped expansion only cut buffered peak memory "
+        f"{capture_grouped_peak_ratio:.2f}x "
+        f"({grouped_peak / 1024:.0f}KiB vs "
+        f"{buffered_peak / 1024:.0f}KiB whole-stream); "
+        f"floor is {CAPTURE_GROUPED_PEAK_FLOOR}x"
     )
     assert cache_cascade_parity, (
         "vectorized cache cascade diverged from the scalar walk"

@@ -105,14 +105,22 @@ def predict(
             f"neighbour arrays too short for {width}x{height} {mode.value}: "
             f"got above={len(above)}, left={len(left)}"
         )
-    above = above.astype(np.float64)
-    left = left.astype(np.float64)
+    # No copy for float64 input (what extend_neighbours returns); the
+    # modes below only read their neighbours.
+    above = np.asarray(above, dtype=np.float64)
+    left = np.asarray(left, dtype=np.float64)
     top = above[:width]
     side = left[:height]
 
     if mode is IntraMode.DC:
-        out = np.full((height, width), (top.mean() + side.mean()) / 2.0)
-    elif mode is IntraMode.V:
+        # A constant block: round and clip the one value, then fill.
+        # ``add.reduce(x) / n`` is ``x.mean()`` bit for bit, and round()
+        # rounds half to even as np.rint does.
+        top_mean = float(np.add.reduce(top)) / width
+        side_mean = float(np.add.reduce(side)) / height
+        dc = round((top_mean + side_mean) / 2.0)
+        return np.full((height, width), min(max(dc, 0), 255), dtype=np.uint8)
+    if mode is IntraMode.V:
         out = np.tile(top, (height, 1))
     elif mode is IntraMode.H:
         out = np.tile(side[:, None], (1, width))

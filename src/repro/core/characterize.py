@@ -67,9 +67,13 @@ def characterize(
     streaming:
         Simulate while the encode runs: the capture streams its branch
         and touch chunks to the cache hierarchy and the predictor's
-        midpoint reservoir instead of buffering whole event streams,
-        keeping peak capture memory O(window).  Bit-identical to the
-        buffered pass (the ``capture-stream-parity`` invariant).
+        midpoint reservoir instead of buffering whole event streams.
+        Event buffers then hold one flush window of events; the cache
+        simulation holds one touch group's rows plus one cascade
+        window of lines either way (see
+        :meth:`~repro.uarch.cache.CacheHierarchy.access_touches`).
+        Bit-identical to the buffered pass (the
+        ``capture-stream-parity`` invariant).
     """
     if isinstance(encoder, str):
         if crf is None or preset is None:

@@ -20,14 +20,19 @@ Selection:
 
 PR 8 adds **streaming execution** on top: the vectorized replay and
 cache-walk kernels process long event streams in bounded windows with
-carried state, so peak memory stays O(window) instead of O(events) at
-production frame counts.  Every kernel that streams writes back its
-full post-window state (the ``replay-scalar-parity`` invariant's
-probe-stream check pins this), so chunked execution is bit-equal to
-whole-stream execution by construction — which the
-``replay-chunk-parity`` invariant re-asserts directly.  The window is
-:func:`stream_chunk_events`, tunable via ``REPRO_REPLAY_CHUNK``
-(``0`` disables chunking) or the scoped :func:`stream_chunk` override.
+carried state, so their temporaries stay O(window) instead of
+O(events) at production frame counts.  The window counts events: a
+branch, a cache line, or a touch in a capture's flush threshold.  One
+touch expands to many lines (up to about 16k sampled lines for a
+frame-wide 2160p one), so the cache simulation bounds its expansion
+separately, in rows per touch group (``CacheHierarchy.access_touches``).
+Every kernel that streams writes back its full post-window state (the
+``replay-scalar-parity`` invariant's probe-stream check pins this),
+so chunked execution is bit-equal to whole-stream execution by
+construction — which the ``replay-chunk-parity`` invariant re-asserts
+directly.  The window is :func:`stream_chunk_events`, tunable via
+``REPRO_REPLAY_CHUNK`` (``0`` disables chunking) or the scoped
+:func:`stream_chunk` override.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ CHUNK_ENV = "REPRO_REPLAY_CHUNK"
 
 #: Default streaming window.  Large enough that per-chunk kernel setup
 #: is noise (the vectorized replays sort the window once), small enough
-#: that a chunk's temporaries stay a few MiB regardless of trace size.
+#: that a chunk of branches or lines keeps its temporaries to a few MiB
+#: regardless of trace size.  The cache cascade caps it further, at
+#: ``uarch.cache.CASCADE_WINDOW`` lines and as many rows per touch group.
 DEFAULT_STREAM_CHUNK = 1 << 18
 
 #: Stack of scoped overrides; each entry is True for "force scalar".

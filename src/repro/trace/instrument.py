@@ -158,8 +158,9 @@ class Instrumenter:
         self.decision_taken = 0
 
         # Streaming sink mode: registered consumers receive bounded
-        # chunks and the buffers are surrendered at each flush, so peak
-        # capture memory is O(window) instead of O(events).  Once any
+        # chunks and the buffers are surrendered at each flush, so the
+        # event buffers hold O(window) events instead of O(events);
+        # what a sink allocates per chunk is its own bound.  Once any
         # events have been flushed the whole-stream accessors raise —
         # the instrumenter no longer holds the complete stream.
         self._branch_sinks: list[BranchSink] = []

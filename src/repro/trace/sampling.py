@@ -87,8 +87,9 @@ class MidpointReservoir:
     Retained memory is therefore ~``(total + max_window) / 2`` events
     in the worst case — the exact-centred window is a function of the
     final total, so no online scheme can retain less than the midpoint
-    — and the touch side of a streaming capture, which is fully
-    O(window), dominates the peak (DESIGN.md "Streaming capture").
+    — while the touch side of a streaming capture holds one flush
+    window of touches plus one touch group's expansion (DESIGN.md
+    "Streaming capture").
     """
 
     def __init__(self, max_window: int) -> None:

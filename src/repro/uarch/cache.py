@@ -443,6 +443,12 @@ def _round_llc(config: CacheConfig) -> CacheConfig:
 CASCADE_WINDOW = 1 << 16
 
 
+def _cascade_window() -> int:
+    """Lines per cascade step, capped by the streaming window if set."""
+    bound = kernels.stream_chunk_events()
+    return min(bound, CASCADE_WINDOW) if bound else CASCADE_WINDOW
+
+
 @dataclass
 class HierarchyStats:
     """Per-level access/miss counts (scaled back up when sampling)."""
@@ -518,12 +524,73 @@ class CacheHierarchy:
         stream = np.ascontiguousarray(lines)
         if stream.dtype != np.int32:
             stream = stream.astype(np.int64, copy=False)
-        bound = kernels.stream_chunk_events()
-        window = min(bound, CASCADE_WINDOW) if bound else CASCADE_WINDOW
+        window = _cascade_window()
         for start in range(0, int(stream.size), window):
-            chunk = self.l1d.access_batch(stream[start : start + window])
-            chunk = self.l2.access_batch(chunk)
-            self.llc.access_batch(chunk)
+            self._cascade(stream[start : start + window])
+
+    def access_touches(
+        self,
+        bases: np.ndarray,
+        rows: np.ndarray,
+        row_bytes: np.ndarray,
+        pitches: np.ndarray,
+        repeats: np.ndarray,
+    ) -> int:
+        """Expand columnar touches and cascade their sampled lines.
+
+        The same computation as ``access_lines(expand_touch_columns(...))``
+        with this hierarchy's sample period, cascade windows included,
+        without ever holding the whole line stream.  Touches expand in
+        consecutive groups of whole touches whose rows total at most one
+        cascade window (a taller touch is a group of its own; a touch
+        is never split, so ``repeats`` still tiles its whole block).
+        Each group's lines feed the cascade in full windows, and the
+        partial tail is carried into the next group's first window, so
+        windows fall at the positions :meth:`access_lines` would cut.
+        Expansion temporaries are therefore bounded by one group's rows
+        and its lines, plus a carried tail of under one window.
+
+        Returns the number of sampled lines cascaded.
+        """
+        window = _cascade_window()
+        columns = [
+            np.asarray(column, dtype=np.int64)
+            for column in (bases, rows, row_bytes, pitches, repeats)
+        ]
+        row_ends = np.cumsum(columns[1])
+        count = int(row_ends.size)
+        total = 0
+        tail = np.empty(0, dtype=np.int32)  # fewer than `window` lines
+        start = 0
+        while start < count:
+            done = int(row_ends[start - 1]) if start else 0
+            stop = int(np.searchsorted(row_ends, done + window, side="right"))
+            stop = max(stop, start + 1)
+            lines = expand_touch_columns(
+                *(column[start:stop] for column in columns),
+                sample_period=self.sample_period,
+            )
+            start = stop
+            total += int(lines.size)
+            if tail.size:
+                fill = window - int(tail.size)
+                head = np.concatenate((tail, lines[:fill]))
+                lines = lines[fill:]
+                if head.size < window:
+                    tail = head
+                    continue
+                self._cascade(head)
+            full = int(lines.size) - int(lines.size) % window
+            for offset in range(0, full, window):
+                self._cascade(lines[offset : offset + window])
+            tail = lines[full:].copy()
+        if tail.size:
+            self._cascade(tail)
+        return total
+
+    def _cascade(self, lines: np.ndarray) -> None:
+        """One window through L1D; its misses through L2, then the LLC."""
+        self.llc.access_batch(self.l2.access_batch(self.l1d.access_batch(lines)))
 
     def stats(self) -> HierarchyStats:
         """Sampled-and-rescaled access/miss counts."""
@@ -672,12 +739,15 @@ class TouchStreamSink:
     """Touch sink cascading each flushed chunk through a hierarchy.
 
     Register on an :class:`~repro.trace.instrument.Instrumenter` to
-    simulate cache traffic *while the encode runs*: each chunk expands
-    to its sampled line stream (concatenation-safe, see
-    :func:`expand_touch_columns`) and cascades through the hierarchy,
-    whose per-set warm state carries across chunks — so final counters
-    and contents are bit-identical to a whole-stream replay, with peak
-    memory O(chunk) instead of O(touches).
+    simulate cache traffic *while the encode runs*: each chunk goes
+    through :meth:`CacheHierarchy.access_touches`, and the hierarchy's
+    per-set warm state carries across chunks (the expansion is
+    concatenation-safe, see :func:`expand_touch_columns`) — so final
+    counters and contents are bit-identical to a whole-stream replay.
+    The chunk's touch columns are held until it is consumed, but its
+    lines never are: expansion temporaries are bounded by one touch
+    group's rows plus one cascade window, whatever the chunk's length
+    in touches.
     """
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
@@ -694,26 +764,26 @@ class TouchStreamSink:
         write: np.ndarray,
         repeats: np.ndarray,
     ) -> None:
-        lines = expand_touch_columns(
-            base, rows, row_bytes, pitch, repeats,
-            sample_period=self.hierarchy.sample_period,
-        )
         self.chunks += 1
-        self.lines += int(lines.size)
-        self.hierarchy.access_lines(lines)
+        self.lines += self.hierarchy.access_touches(
+            base, rows, row_bytes, pitch, repeats
+        )
 
 
 def simulate_encode_traffic(
     instrumenter: Instrumenter,
     hierarchy: CacheHierarchy | None = None,
 ) -> tuple[CacheHierarchy, HierarchyStats]:
-    """Drive an encode's memory touches through a hierarchy.
+    """Drive an encode's buffered memory touches through a hierarchy.
 
-    Returns the (possibly freshly created) hierarchy and its scaled
-    statistics.
+    The touches go through :meth:`CacheHierarchy.access_touches`, so
+    the whole line stream is never held.  Returns the (possibly freshly
+    created) hierarchy and its scaled statistics.
     """
     if hierarchy is None:
         hierarchy = CacheHierarchy()
-    lines = expand_touches(instrumenter, hierarchy.sample_period)
-    hierarchy.access_lines(lines)
+    bases, rows, row_bytes, pitches, _writes, repeats = (
+        instrumenter.touch_arrays()
+    )
+    hierarchy.access_touches(bases, rows, row_bytes, pitches, repeats)
     return hierarchy, hierarchy.stats()

@@ -100,9 +100,12 @@ class StreamingCapture:
     encode: memory touches cascade through the hierarchy chunk by
     chunk, and a :class:`~repro.trace.sampling.MidpointReservoir`
     retains only the branch events the centred window can still need.
-    Peak capture memory is O(window); every counter the report derives
-    is bit-identical to the buffered path (the
-    ``capture-stream-parity`` invariant pins this).
+    Event buffers hold at most one flush window of events, counted in
+    touches, not lines: each chunk's cache simulation holds one touch
+    group's rows plus one cascade window of lines (see
+    :meth:`~repro.uarch.cache.CacheHierarchy.access_touches`).  Every
+    counter the report derives is bit-identical to the buffered path
+    (the ``capture-stream-parity`` invariant pins this).
 
     Use: construct, pass :attr:`instrumenter` to the encoder, then hand
     the capture to :func:`collect` via its ``capture`` parameter.

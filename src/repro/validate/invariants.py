@@ -31,9 +31,11 @@ inputs:
   configurations the paper and its ablations evaluate.
 - **capture-stream-parity** — streaming capture (bounded-window sinks
   feeding the cache hierarchy and the midpoint branch reservoir while
-  events arrive) produces bit-identical cache counters and contents,
-  midpoint trace columns, predictor results, and instruction counts
-  to the whole-stream buffered capture.
+  events arrive) and buffered capture through the production path
+  (``simulate_encode_traffic``) both produce bit-identical cache
+  counters and contents to the whole expanded line stream, and
+  streaming matches buffered capture's midpoint trace columns,
+  predictor results, and instruction counts.
 - **predictor-replay-determinism** — replaying one branch stream on
   two fresh instances of any predictor yields identical predictions.
 - **tage-fold-reference** — TAGE's incrementally folded history
@@ -71,6 +73,7 @@ from ..uarch.cache import (
     CacheHierarchy,
     TouchStreamSink,
     expand_touches,
+    simulate_encode_traffic,
 )
 from ..uarch.topdown import classify_slots
 from ..parallel.scaling import topdown_with_threads
@@ -514,46 +517,56 @@ def _random_capture_events(rng: np.random.Generator) -> list[tuple]:
 
 
 def _capture_stream_parity(rng: np.random.Generator, case: int) -> list[str]:
-    """Streaming capture is bit-identical to buffered capture.
+    """Streaming and buffered capture are bit-identical.
 
     One synthetic workload is driven into a buffered instrumenter and
     into a streaming one whose sinks flush at a small randomized window
     (deliberately shorter than the predictors' history lengths, so
     chunk boundaries land mid-history).  Cache counters and final
-    contents, the extracted midpoint trace, predictor results over it,
-    and the instruction-count vector must all match exactly.
+    contents, from the streaming sink and from the buffered capture
+    through :func:`simulate_encode_traffic`, must match a cascade of
+    the whole expanded line stream; the case runs under a small
+    ``stream_chunk`` window, so touch groups and cascade windows end
+    mid-stream.  The extracted midpoint trace, predictor results over
+    it, and the instruction-count vector must match too.
     """
     failures: list[str] = []
     events = _random_capture_events(rng)
     sample_period = int(2 ** rng.integers(0, 3))
     window = int(rng.integers(3, 48))
     max_window = int(rng.integers(32, 200))
+    chunk = int(rng.integers(8, 64))
 
     buffered = Instrumenter()
     _drive_capture(buffered, events)
 
     streamed = Instrumenter()
-    hier_buf = _small_hierarchy(sample_period)
     hier_stream = _small_hierarchy(sample_period)
     reservoir = MidpointReservoir(max_window)
     streamed.register_touch_sink(TouchStreamSink(hier_stream), window=window)
     streamed.register_branch_sink(reservoir, window=window)
-    _drive_capture(streamed, events)
-    streamed.flush_stream()
-
-    hier_buf.access_lines(expand_touches(buffered, sample_period))
-    for name in ("l1d", "l2", "llc"):
-        a, b = getattr(hier_buf, name), getattr(hier_stream, name)
-        if (a.accesses, a.misses) != (b.accesses, b.misses):
-            failures.append(
-                f"case {case}: {name} buffered ({a.accesses}, {a.misses}) "
-                f"!= streamed ({b.accesses}, {b.misses})"
-            )
-        if a.contents() != b.contents():
-            failures.append(
-                f"case {case}: {name} final contents diverge between "
-                "buffered and streamed capture"
-            )
+    hier_whole = _small_hierarchy(sample_period)
+    with kernels.stream_chunk(chunk):
+        _drive_capture(streamed, events)
+        streamed.flush_stream()
+        hier_whole.access_lines(expand_touches(buffered, sample_period))
+        hier_buf, _ = simulate_encode_traffic(
+            buffered, _small_hierarchy(sample_period)
+        )
+    for side, hier in (("buffered", hier_buf), ("streamed", hier_stream)):
+        for name in ("l1d", "l2", "llc"):
+            a, b = getattr(hier_whole, name), getattr(hier, name)
+            if (a.accesses, a.misses) != (b.accesses, b.misses):
+                failures.append(
+                    f"case {case}: {name} whole-stream "
+                    f"({a.accesses}, {a.misses}) != {side} "
+                    f"({b.accesses}, {b.misses})"
+                )
+            if a.contents() != b.contents():
+                failures.append(
+                    f"case {case}: {name} final contents diverge between "
+                    f"the whole stream and {side} capture"
+                )
 
     if reservoir.total_events != buffered.decision_branches:
         failures.append(
@@ -695,8 +708,8 @@ INVARIANTS: dict[str, tuple[str, Callable[[np.random.Generator, int], list[str]]
     "capture-stream-parity": (
         "Streaming capture (chunked sinks + midpoint reservoir) is "
         "bit-identical to buffered capture: cache counters and "
-        "contents, midpoint trace, predictor stats, instruction "
-        "counts.",
+        "contents (also through simulate_encode_traffic), midpoint "
+        "trace, predictor stats, instruction counts.",
         _capture_stream_parity,
     ),
     "predictor-replay-determinism": (

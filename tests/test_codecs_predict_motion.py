@@ -50,6 +50,47 @@ class TestPredict:
         pred = predict(IntraMode.DC, above, left, 8, 8)
         assert np.all(pred == 75)
 
+    @staticmethod
+    def _dc_reference(above, left, height, width):
+        """DC as a full block of the rounded, clipped mean."""
+        block = np.full(
+            (height, width), (above[:width].mean() + left[:height].mean()) / 2.0
+        )
+        return np.clip(np.rint(block), 0, 255).astype(np.uint8)
+
+    @pytest.mark.parametrize(
+        "height,width", [(4, 4), (8, 16), (16, 8), (32, 32), (64, 64), (4, 64)]
+    )
+    def test_dc_matches_rounded_mean_block(self, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        for low, high in ((0, 256), (-60, 320)):  # and out-of-range means
+            for _ in range(25):
+                above = rng.uniform(low, high, width + height)
+                left = rng.uniform(low, high, width + height)
+                for values in ((above, left), (np.rint(above), np.rint(left))):
+                    pred = predict(IntraMode.DC, *values, height, width)
+                    expected = self._dc_reference(*values, height, width)
+                    assert pred.dtype == np.uint8
+                    assert np.array_equal(pred, expected)
+
+    def test_dc_ties_round_half_to_even(self):
+        for value in range(255):
+            above, left = self._neigh(above_val=value, left_val=value + 1)
+            pred = predict(IntraMode.DC, above, left, 8, 8)
+            assert np.array_equal(pred, self._dc_reference(above, left, 8, 8))
+            assert np.all(pred == value + value % 2)
+
+    def test_integer_neighbours_predict_as_float(self):
+        rng = np.random.default_rng(4)
+        above = rng.integers(0, 256, 32).astype(np.uint8)
+        left = rng.integers(0, 256, 32).astype(np.uint8)
+        for mode in IntraMode:
+            assert np.array_equal(
+                predict(mode, above, left, 16, 16),
+                predict(mode, above.astype(np.float64),
+                        left.astype(np.float64), 16, 16),
+            )
+
     def test_vertical_copies_above(self):
         above, left = self._neigh()
         above[:8] = np.arange(8) * 10

@@ -1,5 +1,7 @@
 """Tests for the cache hierarchy simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.uarch.cache import (
     Cache,
     CacheConfig,
     CacheHierarchy,
+    expand_touch_columns,
     expand_touches,
     simulate_encode_traffic,
 )
@@ -428,3 +431,139 @@ class TestClassifierBoundaries:
             for line in rng.integers(0, 32, 20).tolist():
                 assert mixed.access(line) == oracle.access(line)
         assert mixed.contents() == oracle.contents()
+
+
+def tiny_hierarchy(sample_period=1):
+    return CacheHierarchy(
+        l1d=CacheConfig("L1D", 2 * 1024, 2),
+        l2=CacheConfig("L2", 8 * 1024, 4),
+        llc=CacheConfig("LLC", 32 * 1024, 8),
+        sample_period=sample_period,
+    )
+
+
+def level_state(hierarchy):
+    return [
+        (level.accesses, level.misses, level.contents())
+        for level in (hierarchy.l1d, hierarchy.l2, hierarchy.llc)
+    ]
+
+
+def record_windows(hierarchy):
+    """Record the size of every batch the hierarchy's L1D classifies."""
+    sizes = []
+    classify = hierarchy.l1d.access_batch
+
+    def recording(lines):
+        sizes.append(int(lines.size))
+        return classify(lines)
+
+    hierarchy.l1d.access_batch = recording
+    return sizes
+
+
+def random_touch_columns(rng, touches, tall=2, far=False):
+    """Columnar touches: some taller than a small window, some repeated,
+    and optionally lines beyond 2**31."""
+    rows = rng.integers(1, 40, size=touches)
+    rows[rng.integers(0, touches, size=tall)] = rng.integers(100, 300, tall)
+    bases = rng.integers(0, 1 << 20, size=touches)
+    if far:
+        bases[rng.integers(0, touches, size=touches // 2)] += 1 << 38
+    return (
+        bases,
+        rows,
+        rng.integers(1, 300, size=touches),
+        rng.integers(1, 40, size=touches) * 64,
+        rng.integers(1, 4, size=touches),
+    )
+
+
+def assert_grouped_matches_whole_stream(columns, sample_period=1, make=None):
+    make = make or (lambda: tiny_hierarchy(sample_period))
+    whole, grouped = make(), make()
+    whole_windows, grouped_windows = record_windows(whole), record_windows(grouped)
+    lines = expand_touch_columns(*columns, sample_period=whole.sample_period)
+    whole.access_lines(lines)
+    assert grouped.access_touches(*columns) == lines.size
+    assert grouped_windows == whole_windows
+    assert level_state(grouped) == level_state(whole)
+
+
+class TestGroupedTouches:
+    """``access_touches`` is the whole-stream cascade, window for window."""
+
+    @pytest.mark.parametrize("window", [16, 57, 1000, 0])
+    @pytest.mark.parametrize(
+        "scope", [kernels.vectorized_kernels, kernels.scalar_kernels],
+        ids=["vectorized", "scalar"],
+    )
+    def test_matches_whole_stream(self, scope, window):
+        rng = np.random.default_rng(window + 17)
+        for sample_period in (1, 8):
+            columns = random_touch_columns(rng, touches=30)
+            with scope(), kernels.stream_chunk(window):
+                assert_grouped_matches_whole_stream(columns, sample_period)
+
+    def test_lines_beyond_31_bits(self):
+        rng = np.random.default_rng(21)
+        columns = random_touch_columns(rng, touches=30, far=True)
+        with kernels.stream_chunk(64):
+            assert_grouped_matches_whole_stream(columns)
+
+    def test_touch_taller_than_a_window_is_not_split(self):
+        # One repeated touch of 500 rows under a 64-row window: its
+        # block must still tile whole, as in the whole-stream expansion.
+        columns = tuple(
+            np.array(values) for values in
+            ([0, 640_000, 64], [3, 500, 2], [256, 128, 64],
+             [4096, 4096, 4096], [1, 3, 2])
+        )
+        with kernels.stream_chunk(64):
+            assert_grouped_matches_whole_stream(columns)
+
+    def test_empty_input(self):
+        hierarchy = tiny_hierarchy()
+        empty = np.empty(0, dtype=np.int64)
+        assert hierarchy.access_touches(*(empty,) * 5) == 0
+        assert level_state(hierarchy) == level_state(tiny_hierarchy())
+
+    def test_captured_4k_stream(self):
+        from repro.core.characterize import encode_workload
+
+        result = encode_workload(
+            "svt-av1", "chicken", crf=30, preset=8, num_frames=2
+        )
+        bases, rows, row_bytes, pitches, _writes, repeats = (
+            result.instrumenter.touch_arrays()
+        )
+        assert max(rows) > 1000  # touches of half a 2160p frame or more
+        assert_grouped_matches_whole_stream(
+            (bases, rows, row_bytes, pitches, repeats), make=CacheHierarchy
+        )
+
+    def test_simulate_encode_traffic_holds_one_group(self):
+        """Buffered simulation memory does not grow with the stream.
+
+        Each touch covers 1,080 rows of a 3,840-byte plane; 128 such
+        touches expand to about a million sampled lines, which held
+        whole (with their per-row arrays) would take about 20 MiB.
+        """
+
+        def peak_kib(touches):
+            inst = Instrumenter()
+            plane = inst.register_plane(960, scale_h=2.0, scale_w=4.0)
+            for index in range(touches):
+                inst.touch(plane, row=index % 8, rows=540, col=0, cols=960)
+            tracemalloc.start()
+            try:
+                hierarchy, _ = simulate_encode_traffic(inst)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert hierarchy.l1d.accesses == touches * 8100
+            return peak / 1024
+
+        base, doubled = peak_kib(128), peak_kib(256)
+        assert doubled < 24 * 1024
+        assert doubled < 1.1 * base
