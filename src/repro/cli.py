@@ -152,11 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the run's metrics-registry snapshot as JSON",
     )
     experiment.add_argument(
-        "--metrics-prom", default=None, metavar="PATH",
-        help="write the metrics snapshot in OpenMetrics/Prometheus "
-             "text format",
-    )
-    experiment.add_argument(
         "--span-log", default=None, metavar="PATH",
         help="write the raw span/event JSONL log (default: alongside "
              "the run ledger when one is in use)",
@@ -173,12 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run sweep cells over a pool of N worker processes "
              "('auto' = one per core; default: REPRO_WORKERS, else "
              "serial)",
-    )
-    experiment.add_argument(
-        "--affinity", action="store_true", default=None,
-        help="pin each pool worker to a distinct CPU core set "
-             "(sched_setaffinity; warns and runs unpinned where "
-             "unsupported; default: REPRO_AFFINITY, else off)",
     )
     experiment.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -514,11 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ledger_path=args.ledger,
                 trace_out=args.trace_out,
                 metrics_json=args.metrics_json,
-                metrics_prom=args.metrics_prom,
                 span_log=args.span_log,
                 run_dir=args.run_dir,
                 workers=args.workers,
-                affinity=args.affinity,
                 cache_dir=args.cache_dir,
                 heartbeat_interval=args.heartbeat_interval,
                 max_worker_restarts=args.max_worker_restarts,

@@ -10,15 +10,10 @@ from .report import (
     format_table,
 )
 from .serialize import from_jsonable, register, to_jsonable
-from .session import CellSpec, RunKey, Session, default_session
+from .session import CellSpec, RunKey, Session
 from .sweeps import (
-    DEFAULT_CRFS,
-    DEFAULT_PRESETS,
     ThreadStudy,
-    codec_comparison,
     comparable_preset,
-    crf_sweep,
-    preset_sweep,
     scale_crf,
     sweep_cells,
     sweep_specs,
@@ -26,8 +21,6 @@ from .sweeps import (
 )
 
 __all__ = [
-    "DEFAULT_CRFS",
-    "DEFAULT_PRESETS",
     "RESULT_SCHEMA_VERSION",
     "CellSpec",
     "ExperimentResult",
@@ -37,15 +30,11 @@ __all__ = [
     "Table",
     "ThreadStudy",
     "characterize",
-    "codec_comparison",
     "comparable_preset",
-    "crf_sweep",
-    "default_session",
     "encode_workload",
     "format_result",
     "format_table",
     "from_jsonable",
-    "preset_sweep",
     "register",
     "scale_crf",
     "sweep_cells",

@@ -3,8 +3,7 @@
 Several of the paper's figures are different views of the *same*
 encodes (Figs. 3-7 all read the CRF sweep; Figs. 12-16 share the
 thread-study encodes), so the experiment harness funnels every run
-through a :class:`Session` that caches by configuration.  A process-
-wide default session lets independent benchmark files share work.
+through a :class:`Session` that caches by configuration.
 """
 
 from __future__ import annotations
@@ -350,14 +349,3 @@ class Session:
 
     def __len__(self) -> int:
         return len(self._reports) + len(self._encodes)
-
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The process-wide shared session (created on first use)."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

@@ -1,8 +1,9 @@
-"""Parameter sweeps: the paper's CRF, preset, codec and thread studies.
+"""Sweep building blocks the experiment modules share.
 
-Each sweep returns plain lists of :class:`~repro.uarch.perfcounters.
-PerfReport` (or scaling curves), which the experiment modules reshape
-into the exact rows/series of each table and figure.
+Grid construction (:func:`sweep_specs`), the quarantine-dropping cell
+loop (:func:`sweep_cells`), the cross-codec CRF/preset mappings and the
+§4.6 thread study; the experiment modules reshape their results into
+the exact rows/series of each table and figure.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from ..errors import (
 )
 from ..obs.span import trace_span
 from ..parallel.scaling import ScalingCurve, thread_scaling, topdown_with_threads
-from ..uarch.perfcounters import PerfReport
 from ..uarch.topdown import TopDown
-from .session import CellSpec, Session, default_session
-
-#: The paper's CRF sweep grid (§4.2: "vary CRF from 10 to 60").
-DEFAULT_CRFS: tuple[int, ...] = (10, 20, 30, 40, 50, 60)
-
-#: AV1/VP9-family presets are 0-8 (higher = faster).
-DEFAULT_PRESETS: tuple[int, ...] = tuple(range(9))
+from .session import CellSpec, Session
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
@@ -131,84 +125,6 @@ def comparable_preset(codec: str, av1_preset: int) -> int:
     return spec.preset_count - 1 - level
 
 
-def crf_sweep(
-    codec: str,
-    video: str,
-    crfs: tuple[int, ...] = DEFAULT_CRFS,
-    preset: int = 4,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize one clip across CRF values (paper §4.2).
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``crf`` field identifies its grid point.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(codec, video, scale_crf(codec, crf), preset) for crf in crfs
-    )
-    _, reports = sweep_cells(
-        crfs,
-        lambda crf: session.report(codec, video, scale_crf(codec, crf), preset),
-    )
-    return reports
-
-
-def preset_sweep(
-    codec: str,
-    video: str,
-    presets: tuple[int, ...] = DEFAULT_PRESETS,
-    crf: float = 40,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize one clip across speed presets (paper §4.5).
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``preset`` field identifies its grid point.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(codec, video, crf, preset) for preset in presets
-    )
-    _, reports = sweep_cells(
-        presets,
-        lambda preset: session.report(codec, video, crf, preset),
-    )
-    return reports
-
-
-def codec_comparison(
-    codecs: tuple[str, ...],
-    video: str,
-    crf: float,
-    av1_preset: int = 4,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize several encoders at a comparable operating point.
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``codec`` field identifies its encoder.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(
-            codec, video, scale_crf(codec, crf),
-            comparable_preset(codec, av1_preset),
-        )
-        for codec in codecs
-    )
-    _, reports = sweep_cells(
-        codecs,
-        lambda codec: session.report(
-            codec,
-            video,
-            scale_crf(codec, crf),
-            comparable_preset(codec, av1_preset),
-        ),
-    )
-    return reports
-
-
 @dataclass(frozen=True)
 class ThreadStudy:
     """Scaling curve plus per-thread-count top-down profiles."""
@@ -223,12 +139,12 @@ def thread_study(
     video: str,
     crf: float,
     preset: int,
+    *,
+    session: Session,
     max_threads: int = 8,
     num_frames: int = 8,
-    session: Session | None = None,
 ) -> ThreadStudy:
     """The paper's §4.6 study for one encoder configuration."""
-    session = session or default_session()
     result = session.encode(codec, video, crf, preset, num_frames=num_frames)
     report = session.report(codec, video, crf, preset)
     curve = thread_scaling(result, max_threads=max_threads)

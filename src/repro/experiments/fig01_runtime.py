@@ -21,7 +21,8 @@ AV1_PRESET = 4
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Measure time-vs-CRF curves for all five encoders."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     crfs = sweep_crfs()
     session.prefetch(
         (codec, video, scale_crf(codec, crf), comparable_preset(codec, AV1_PRESET))

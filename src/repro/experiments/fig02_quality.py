@@ -60,7 +60,8 @@ def _rate_curve(
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Compute BD-rate/runtime per codec and the SVT-AV1 RD curve."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         [
             (codec, video, scale_crf(codec, crf),

@@ -20,7 +20,8 @@ MIX_KEYS = ("branch", "load", "store", "avx", "sse", "other")
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Measure the mix across the CRF grid for every sweep video."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, crf, PRESET)
         for video in sweep_videos()

@@ -25,7 +25,8 @@ def run(session: Session | None = None) -> ExperimentResult:
     drop out of their video's series and table rows; the surviving
     grid is reported intact.
     """
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, crf, PRESET)
         for video in sweep_videos()

@@ -20,7 +20,8 @@ PRESET = 4
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Top-down shares for every (video, CRF) cell."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, crf, PRESET)
         for video in sweep_videos()

@@ -26,7 +26,8 @@ PANELS = (
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Collect all eight panels for every (video, CRF) cell."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, crf, PRESET)
         for video in sweep_videos()

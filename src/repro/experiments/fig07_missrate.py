@@ -19,7 +19,8 @@ PRESET = 4
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Branch miss rate per (video, CRF)."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, crf, PRESET)
         for video in sweep_videos()

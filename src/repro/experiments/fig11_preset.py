@@ -21,7 +21,8 @@ CRF = 40
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Sweep presets 0-8 at fixed CRF."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     presets = sweep_presets()
     session.prefetch(("svt-av1", video, CRF, preset) for preset in presets)
     rows_a = []

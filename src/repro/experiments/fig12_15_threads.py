@@ -45,7 +45,8 @@ def run(
     max_threads: int = 8,
 ) -> ExperimentResult:
     """Run the four-encoder thread study for one figure's config."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     x264_preset, x264_crf = CONFIGS[figure]
     av1_preset, av1_crf = _COMPANION[figure]
     num_frames = 4 if fast_mode() else 8

@@ -26,7 +26,8 @@ def run(
     max_threads: int = 8,
 ) -> ExperimentResult:
     """Per-encoder top-down at 1..max_threads."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     num_frames = 4 if fast_mode() else 8
     session.prefetch(
         (

@@ -37,12 +37,10 @@ from ..errors import (
 from ..obs import events as obs_events
 from ..obs.context import ObsContext, activate_obs
 from ..obs.export import write_chrome_trace, write_span_log
-from ..obs.openmetrics import write_openmetrics
 from ..obs.telemetry import (
     LEDGER_FILE,
     MANIFEST_FILE,
     METRICS_JSON_FILE,
-    METRICS_PROM_FILE,
     SPAN_LOG_FILE,
     TRACE_FILE,
     open_sink,
@@ -51,7 +49,6 @@ from ..obs.telemetry import (
 from ..parallel.pool import (
     ParallelConfig,
     activate_parallel,
-    resolve_affinity,
     resolve_cache_dir,
     resolve_run_dir,
     resolve_supervision,
@@ -188,12 +185,10 @@ def run_experiment(
     fault_plan: FaultPlan | None = None,
     trace_out: str | None = None,
     metrics_json: str | None = None,
-    metrics_prom: str | None = None,
     span_log: str | None = None,
     run_dir: str | None = None,
     obs: ObsContext | None = None,
     workers: int | str | None = None,
-    affinity: bool | None = None,
     cache_dir: str | None = None,
     cache_salt: str = "",
     heartbeat_interval: float | None = None,
@@ -223,9 +218,6 @@ def run_experiment(
         (loadable in Perfetto / ``about:tracing``).
     metrics_json:
         Write the run's metrics-registry snapshot as JSON here.
-    metrics_prom:
-        Write the snapshot in OpenMetrics/Prometheus text format here
-        (the scrapeable twin of ``metrics_json``).
     span_log:
         Write the raw span/event JSONL log here.  Defaults to a
         ``<experiment>.spans.jsonl`` sibling of the run ledger
@@ -233,10 +225,10 @@ def run_experiment(
     run_dir:
         Collect every run artifact under one directory: the ledger
         (``ledger.jsonl``), span log (``spans.jsonl``), metrics
-        snapshots (``metrics.json``/``metrics.prom``), Chrome trace
-        (``trace.json``), a ``run.json`` manifest, per-process
-        telemetry streams (``telemetry/``) and the pool's heartbeat
-        sidecars (``heartbeats/``) — the artifact contract
+        snapshot (``metrics.json``), Chrome trace (``trace.json``), a
+        ``run.json`` manifest, per-process telemetry streams
+        (``telemetry/``) and the pool's heartbeat sidecars
+        (``heartbeats/``) — the artifact contract
         ``repro status`` and ``repro report`` read (see
         OBSERVABILITY.md).  Implies checkpointing; explicit artifact
         paths still win over the run-dir defaults.  Defaults to
@@ -251,13 +243,6 @@ def run_experiment(
         deterministic
         point order, so results match a serial run.  Defaults to
         ``REPRO_WORKERS``, else serial.
-    affinity:
-        Pin each pool worker to a distinct core set
-        (``os.sched_setaffinity``); a no-op with a structured warning
-        on platforms without scheduler affinity.  Pinning never
-        changes results — pinned pooled sweeps merge element-for-
-        element identical to serial runs.  Defaults to
-        ``REPRO_AFFINITY``, else off.
     cache_dir:
         Enable the content-addressed result cache rooted here (see
         :mod:`repro.cache`); cells whose key is already stored are
@@ -310,8 +295,6 @@ def run_experiment(
             span_log = os.path.join(run_dir, SPAN_LOG_FILE)
         if metrics_json is None:
             metrics_json = os.path.join(run_dir, METRICS_JSON_FILE)
-        if metrics_prom is None:
-            metrics_prom = os.path.join(run_dir, METRICS_PROM_FILE)
         if trace_out is None:
             trace_out = os.path.join(run_dir, TRACE_FILE)
 
@@ -335,7 +318,6 @@ def run_experiment(
         heartbeat_interval=heartbeat_interval,
         max_worker_restarts=max_worker_restarts,
         run_dir=run_dir,
-        affinity=affinity,
     )
     obs_context = obs if obs is not None else ObsContext()
     manifest: dict = {}
@@ -347,7 +329,6 @@ def run_experiment(
             "started_wall": time.time(),
             "pid": os.getpid(),
             "workers": resolve_workers(workers),
-            "affinity": resolve_affinity(affinity),
         }
         _write_manifest(run_dir, manifest, replace=True)
         obs_context.telemetry = open_sink(
@@ -385,7 +366,6 @@ def run_experiment(
                         result = _call_runner(experiment_id, runner, kwargs)
             result.provenance["parallel"] = {
                 "workers": resolve_workers(workers),
-                "affinity": resolve_affinity(affinity),
                 "cache_dir": resolve_cache_dir(cache_dir),
                 "heartbeat_interval": supervision.heartbeat_interval,
                 "max_worker_restarts": supervision.max_worker_restarts,
@@ -435,8 +415,6 @@ def run_experiment(
                 obs_context,
                 span_log=span_log,
                 metrics_json=metrics_json,
-                metrics_prom=metrics_prom,
-                best_effort=True,
             )
     result.provenance["telemetry"] = obs_context.telemetry_summary()
 
@@ -445,8 +423,6 @@ def run_experiment(
         write_chrome_trace(trace_out, spans)
     if metrics_json is not None:
         _write_metrics_json(metrics_json, obs_context)
-    if metrics_prom is not None:
-        write_openmetrics(metrics_prom, obs_context.metrics.snapshot())
     if span_log is None and ledger_path is not None:
         span_log = default_span_log_path(ledger_path)
     if span_log is not None:
@@ -459,10 +435,9 @@ def _flush_artifacts(
     *,
     span_log: str | None,
     metrics_json: str | None,
-    metrics_prom: str | None,
-    best_effort: bool,
 ) -> None:
-    """Export the span log and metrics snapshots (exception path)."""
+    """Export the span log and metrics snapshot, best effort (exception
+    path)."""
     for path, write in (
         (
             span_log,
@@ -471,20 +446,13 @@ def _flush_artifacts(
             ),
         ),
         (metrics_json, lambda p: _write_metrics_json(p, obs_context)),
-        (
-            metrics_prom,
-            lambda p: write_openmetrics(
-                p, obs_context.metrics.snapshot()
-            ),
-        ),
     ):
         if path is None:
             continue
         try:
             write(path)
         except Exception:  # noqa: BLE001 - must not mask the original
-            if not best_effort:
-                raise
+            pass
 
 
 def _write_metrics_json(path: str, obs_context: ObsContext) -> None:

@@ -17,7 +17,8 @@ TITLE = "SVT-AV1 instruction mix (preset 8, CRF 63)"
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Measure the mix for every sweep video."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     session.prefetch(
         ("svt-av1", video, 63, 8) for video in sweep_videos()
     )

@@ -9,14 +9,9 @@ scalar implementations are kept, both as the executable specification
 the fast paths are tested against and as the baseline the kernel
 benchmark suite (``benchmarks/test_kernel_speed.py``) times.
 
-Selection:
-
-- default — vectorized kernels;
-- ``REPRO_SCALAR_KERNELS=1`` in the environment — scalar reference
-  everywhere (inherited by pooled workers, so a whole sweep can be
-  forced scalar);
-- :func:`scalar_kernels` / :func:`vectorized_kernels` — scoped
-  overrides for benchmarks and parity tests (innermost wins).
+Selection: vectorized kernels by default; :func:`scalar_kernels` /
+:func:`vectorized_kernels` are scoped overrides for benchmarks and
+parity tests (innermost wins).
 
 PR 8 adds **streaming execution** on top: the vectorized replay and
 cache-walk kernels process long event streams in bounded windows with
@@ -41,10 +36,6 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-#: Environment flag: set to ``1``/``true``/``yes`` to force the scalar
-#: reference kernels process-wide.
-SCALAR_ENV = "REPRO_SCALAR_KERNELS"
-
 #: Environment override for the streaming window, in events per chunk
 #: (``0`` = unbounded: whole-stream kernels, the pre-PR-8 behaviour).
 CHUNK_ENV = "REPRO_REPLAY_CHUNK"
@@ -65,9 +56,7 @@ _forced_chunk: list[int] = []
 
 def vectorized_enabled() -> bool:
     """True when the vectorized fast paths should run."""
-    if _forced:
-        return not _forced[-1]
-    return os.environ.get(SCALAR_ENV, "").lower() not in ("1", "true", "yes")
+    return not _forced or not _forced[-1]
 
 
 @contextmanager
@@ -82,7 +71,7 @@ def scalar_kernels() -> Iterator[None]:
 
 @contextmanager
 def vectorized_kernels() -> Iterator[None]:
-    """Force the vectorized kernels inside the block (overrides env)."""
+    """Force the vectorized kernels inside the block."""
     _forced.append(False)
     try:
         yield

@@ -23,8 +23,6 @@ branch event rates) in a metrics registry.
 - :mod:`repro.obs.runstatus` / :mod:`repro.obs.report` — readers
   fusing the run-directory artifacts into a live status aggregate and
   a post-mortem run-health report (imported lazily by the CLI).
-- :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text
-  exposition of a metrics snapshot (the ``metrics.prom`` artifact).
 
 Capture a trace from the CLI::
 
@@ -45,7 +43,6 @@ from .export import (
     write_chrome_trace,
     write_span_log,
 )
-from .openmetrics import render_openmetrics, write_openmetrics
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetrySink,
@@ -93,7 +90,6 @@ __all__ = [
     "read_span_log",
     "read_telemetry",
     "record_metric",
-    "render_openmetrics",
     "timing_summary",
     "trace_span",
     "traced",
@@ -101,7 +97,6 @@ __all__ = [
     "validate_chrome_trace_file",
     "validate_span_log_file",
     "walk",
-    "write_openmetrics",
     "warn",
     "write_chrome_trace",
     "write_span_log",

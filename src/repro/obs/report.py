@@ -212,7 +212,6 @@ def run_report(run_dir: str) -> dict[str, Any]:
                 "peak_rss_kib": w.peak_rss_kib,
                 "cpu_seconds": w.cpu_seconds,
                 "inflight": w.inflight,
-                "affinity": w.affinity,
             }
             for w in status.workers
         ],
@@ -245,15 +244,9 @@ def format_report(report: dict[str, Any]) -> str:
         for row in report["workers"]:
             peak = row.get("peak_rss_kib")
             rendered = f"{peak / 1024:.1f}MiB" if peak is not None else "?"
-            cpus = row.get("affinity")
             lines.append(
                 f"    {row['stream']:<18} pid {row['pid']:>7} "
                 f"{row.get('role', 'worker'):<7} peak {rendered:>9}"
-                + (
-                    "  cpus " + ",".join(str(c) for c in cpus)
-                    if cpus is not None
-                    else ""
-                )
             )
     if report.get("cell_peaks"):
         lines.append("  cell peaks (worker RSS high-water mark, per cell):")

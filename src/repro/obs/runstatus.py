@@ -69,9 +69,6 @@ class WorkerView:
     #: steps (NTP, suspend) that made the old ETA math lie.
     first_mono: float | None = None
     last_mono: float | None = None
-    #: The CPU core set this worker pinned itself to (``--affinity``);
-    #: ``None`` when the run was unpinned or pinning was unsupported.
-    affinity: list[int] | None = None
 
     def age(self, now_wall: float) -> float:
         """Seconds since this stream's last sample."""
@@ -287,11 +284,6 @@ def _read_workers(run_dir: str, status: RunStatus) -> None:
                 last_kind=str(last.get("kind", "sample")),
                 first_mono=_maybe_float(samples[0].get("mono")),
                 last_mono=_maybe_float(last.get("mono")),
-                affinity=(
-                    [int(c) for c in last["affinity"]]
-                    if isinstance(last.get("affinity"), list)
-                    else None
-                ),
             )
         )
     status.workers.sort(key=lambda w: (w.role != "parent", w.pid))
@@ -424,12 +416,6 @@ def format_status(status: RunStatus) -> str:
             state = worker.inflight or (
                 "(done)" if worker.last_kind == "final" else "-"
             )
-            if worker.affinity is not None:
-                state += (
-                    "  [cpus "
-                    + ",".join(str(c) for c in worker.affinity)
-                    + "]"
-                )
             if silent:
                 state += "  [silent]"
             lines.append(

@@ -47,7 +47,6 @@ LEDGER_FILE = "ledger.jsonl"
 SPAN_LOG_FILE = "spans.jsonl"
 MANIFEST_FILE = "run.json"
 METRICS_JSON_FILE = "metrics.json"
-METRICS_PROM_FILE = "metrics.prom"
 TRACE_FILE = "trace.json"
 
 

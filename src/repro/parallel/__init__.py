@@ -31,7 +31,6 @@ from .shm import (
     attach_video,
     leaked_segments,
     publish_video,
-    shm_mode,
 )
 from .scaling import (
     ScalingCurve,
@@ -80,7 +79,6 @@ __all__ = [
     "leaked_segments",
     "publish_video",
     "request_drain",
-    "shm_mode",
     "resolve_cache_dir",
     "resolve_supervision",
     "resolve_workers",

@@ -90,7 +90,7 @@ from ..resilience.executor import (
     ResilienceGuard,
 )
 from ..resilience.ledger import OK, QUARANTINED
-from .shm import InlineVideo, ShmDataPlane, shm_mode
+from .shm import InlineVideo, ShmDataPlane
 from .supervise import (
     HeartbeatWriter,
     Lease,
@@ -101,8 +101,6 @@ from .supervise import (
 
 #: Environment override for the default worker count (0 = all cores).
 _ENV_WORKERS = "REPRO_WORKERS"
-#: Environment override for CPU-affinity worker placement.
-_ENV_AFFINITY = "REPRO_AFFINITY"
 #: Environment overrides for the supervisor's knobs.
 _ENV_HEARTBEAT = "REPRO_HEARTBEAT_INTERVAL"
 _ENV_RESTARTS = "REPRO_MAX_WORKER_RESTARTS"
@@ -134,9 +132,6 @@ class ParallelConfig:
     #: ``repro status``) and every worker streams telemetry samples
     #: into ``<run-dir>/telemetry/``.
     run_dir: str | None = None
-    #: Pin each pool worker to a distinct core set
-    #: (``os.sched_setaffinity``); ``None`` falls through the env.
-    affinity: bool | None = None
 
     def __post_init__(self) -> None:
         # Reject nonsense at construction, not deep inside a sweep.
@@ -223,68 +218,6 @@ def resolve_workers(workers: int | str | None = None) -> int:
     if workers == WORKERS_AUTO:
         return os.cpu_count() or 1
     return workers
-
-
-_AFFINITY_TRUE = frozenset({"1", "true", "yes", "on"})
-_AFFINITY_FALSE = frozenset({"", "0", "false", "no", "off"})
-
-
-def resolve_affinity(affinity: bool | None = None) -> bool:
-    """Effective affinity setting: explicit > ambient > env > off."""
-    if affinity is None and _current is not None:
-        affinity = _current.affinity
-    if affinity is None:
-        raw = os.environ.get(_ENV_AFFINITY, "").strip().lower()
-        if raw in _AFFINITY_TRUE:
-            affinity = True
-        elif raw in _AFFINITY_FALSE:
-            affinity = False
-        else:
-            raise ExperimentError(
-                f"{_ENV_AFFINITY}={raw!r} is not a boolean "
-                f"(use 1/true/yes/on or 0/false/no/off)"
-            )
-    return bool(affinity)
-
-
-def partition_cores(
-    worker_count: int, cores: Iterable[int] | None = None
-) -> list[tuple[int, ...]] | None:
-    """Split the schedulable cores into one set per worker.
-
-    Contiguous, nearly-even, disjoint blocks when there are at least
-    as many cores as workers (adjacent logical CPUs tend to share
-    cache levels, which is the locality the pinning is after);
-    single-core sets reused round-robin when workers outnumber cores.
-    Returns ``None`` — pinning not possible — on platforms without
-    ``os.sched_getaffinity``/``os.sched_setaffinity`` (macOS, Windows)
-    or when the core set cannot be read; the caller degrades to a
-    structured warning, never an error.
-    """
-    if not (
-        hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
-    ):
-        return None
-    if cores is None:
-        try:
-            cores = os.sched_getaffinity(0)
-        except OSError:  # pragma: no cover - getaffinity(0) failing
-            return None
-    ordered = sorted(cores)
-    if not ordered:
-        return None
-    if worker_count >= len(ordered):
-        return [
-            (ordered[i % len(ordered)],) for i in range(worker_count)
-        ]
-    base, extra = divmod(len(ordered), worker_count)
-    sets: list[tuple[int, ...]] = []
-    pos = 0
-    for i in range(worker_count):
-        size = base + (1 if i < extra else 0)
-        sets.append(tuple(ordered[pos:pos + size]))
-        pos += size
-    return sets
 
 
 def _env_number(name: str, parse, kind: str):
@@ -392,44 +325,23 @@ class _CellJob:
     telemetry_dir: str | None = None
     #: Video delivery payload for this cell's clip — a
     #: :class:`~repro.parallel.shm.ShmVideoHandle` (zero-copy attach)
-    #: or :class:`~repro.parallel.shm.InlineVideo` (pickled planes).
-    #: ``None`` means the worker regenerates from the clip name.
+    #: or, where the publish failed, an
+    #: :class:`~repro.parallel.shm.InlineVideo` (pickled planes).
+    #: ``None`` only for a clip the parent could not resolve, which
+    #: the worker then fails on exactly as a serial run would.
     video_payload: Any = None
 
 
-#: The core set this worker process was pinned to (``None`` = unpinned).
-_WORKER_CORES: tuple[int, ...] | None = None
-
-
-def _worker_init(slot_counter=None, core_sets=None) -> None:
+def _worker_init() -> None:
     """Pool-worker initializer: leave terminal signals to the parent.
 
     Ctrl-C reaches the whole foreground process group; if workers died
     on the first SIGINT there would be nothing left to drain.  Workers
     ignore SIGINT/SIGTERM and the parent decides — finish in-flight
     cells on a drain, SIGKILL on a stall.
-
-    With affinity enabled the parent passes a shared slot counter and
-    the core partition: each fresh worker claims the next slot and
-    pins itself to that slot's core set.  The counter lives across
-    pool rebuilds (modulo the partition size), so a replacement worker
-    inherits a still-distinct set rather than stacking on core 0.
     """
     _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
     _signal.signal(_signal.SIGTERM, _signal.SIG_IGN)
-    if slot_counter is None or not core_sets:
-        return
-    global _WORKER_CORES
-    with slot_counter.get_lock():
-        slot = slot_counter.value
-        slot_counter.value += 1
-    cores = core_sets[slot % len(core_sets)]
-    try:
-        os.sched_setaffinity(0, cores)
-    except (AttributeError, OSError):
-        _WORKER_CORES = None
-    else:
-        _WORKER_CORES = tuple(sorted(cores))
 
 
 def _worker_cell(job: _CellJob) -> dict[str, Any]:
@@ -480,8 +392,6 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
         )
         if sink is not None:
             sink.annotate(inflight=cell_key)
-            if _WORKER_CORES is not None:
-                sink.annotate(affinity=list(_WORKER_CORES))
     # The cell's memory number rides with telemetry: the kernel's RSS
     # high-water mark, reset here and read when the cell ends, is what
     # `repro report` ranks per cell.  Where the reset is refused there
@@ -530,9 +440,6 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
         "events": [event.to_jsonable() for event in obs.events.events],
         "metrics": obs.metrics.snapshot(),
         "pid": os.getpid(),
-        "affinity": (
-            list(_WORKER_CORES) if _WORKER_CORES is not None else None
-        ),
     }
 
 
@@ -1041,23 +948,6 @@ def _run_supervised(
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
-
-    # CPU-affinity placement: partition the schedulable cores once and
-    # hand every (re)built pool the same partition plus a shared slot
-    # counter, so each fresh worker pins itself to a distinct set.
-    core_sets: list[tuple[int, ...]] | None = None
-    slot_counter = None
-    if resolve_affinity():
-        core_sets = partition_cores(worker_count)
-        if core_sets is None:
-            obs_events.warn(
-                "pool.affinity.unsupported",
-                "affinity requested but this platform has no "
-                "sched_setaffinity; workers run unpinned",
-                workers=worker_count,
-            )
-        else:
-            slot_counter = context.Value("i", 0)
     obs_events.emit(
         "pool.start",
         f"dispatching {len(pending)} cell(s) over "
@@ -1065,35 +955,30 @@ def _run_supervised(
         cells=len(pending),
         workers=worker_count,
         heartbeat_interval=config.heartbeat_interval,
-        affinity=core_sets is not None,
     )
     thread_rows: dict[tuple[int, int], int] = {}
     supervisor = _Supervisor(session, pending, config, worker_count)
 
     # Video data plane: resolve each distinct clip once in the parent
-    # (through the session LRU) and pick its delivery payload.  The
-    # parent owns every shm segment for the whole dispatch loop —
-    # including across pool rebuilds, whose fresh workers re-attach the
-    # same segments — and the ``finally`` below unlinks them on drain,
-    # crash and normal completion alike.
-    mode = shm_mode()
-    plane = ShmDataPlane(run_dir=run_dir) if mode == "shm" else None
+    # (through the session, so a registered video source is what
+    # ships) and publish it to shared memory; a clip whose publish
+    # fails ships its planes inline instead.  The parent owns every
+    # shm segment for the whole dispatch loop — including across pool
+    # rebuilds, whose fresh workers re-attach the same segments — and
+    # the ``finally`` below unlinks them on drain, crash and normal
+    # completion alike.
+    plane = ShmDataPlane(run_dir=run_dir)
     payloads: dict[str, Any] = {}
-    if mode != "generate":
-        for name in dict.fromkeys(
-            spec.video for _, spec in pending.values()
-        ):
-            try:
-                video = session.video(name)
-            except VideoError:
-                continue  # non-catalog clip: worker raises as before
-            if plane is not None:
-                try:
-                    payloads[name] = plane.publish(video)
-                except ShmError:
-                    record_metric("counter", "shm.publish.fallbacks")
-            else:
-                payloads[name] = InlineVideo.from_video(video)
+    for name in dict.fromkeys(spec.video for _, spec in pending.values()):
+        try:
+            video = session.video(name)
+        except VideoError:
+            continue  # non-catalog clip: worker raises as before
+        try:
+            payloads[name] = plane.publish(video)
+        except ShmError:
+            record_metric("counter", "shm.publish.fallbacks")
+            payloads[name] = InlineVideo.from_video(video)
 
     def job_template(
         spec: CellSpec, hb_path: str, prior: int
@@ -1118,7 +1003,6 @@ def _run_supervised(
             max_workers=worker_count,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(slot_counter, core_sets),
         )
 
     def merge(lease: Lease, result: dict[str, Any]) -> None:
@@ -1201,8 +1085,7 @@ def _run_supervised(
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
         supervisor.close()
-        if plane is not None:
-            plane.close()
+        plane.close()
         if parent_sink is not None:
             parent_sink.annotate(phase=None)
             parent_sink.flush()

@@ -28,24 +28,13 @@ Ownership and unlink rules (DESIGN.md "Shared-memory data plane"):
   read-only mapping turns any future violation into a loud error
   instead of a silent cross-cell heisenbug.
 
-Fallback matrix (resolved by :func:`shm_mode`):
-
-======================  =============================================
-mode                    video delivery to workers
-======================  =============================================
-``shm`` (default)       shared-memory segment, zero-copy attach
-``pickle``              planes pickled inline into the cell job
-                        (``REPRO_SHM_MODE=pickle``; the benchmark
-                        suite uses it to measure the payload win)
-``generate``            workers regenerate by clip name — the
-                        pre-PR behaviour (``REPRO_NO_SHM=1``)
-======================  =============================================
-
-Publish failures (``/dev/shm`` full, platform without POSIX shm) fall
-back to ``generate`` per video; attach failures inside a worker fall
-back the same way per cell.  Every fallback is an event/counter, never
-an error: the data plane changes how fast bytes move, never whether a
-cell runs.
+Delivery policy: every clip is published to shared memory.  Where a
+publish fails (``/dev/shm`` full, platform without POSIX shm) that
+clip's planes ship inline in each cell job as an :class:`InlineVideo`
+instead, so workers always encode exactly the frames the parent
+resolved.  An attach failure inside a worker regenerates the clip by
+name.  Every fallback is a counter, never an error: the data plane
+changes how fast bytes move, never whether a cell runs.
 """
 
 from __future__ import annotations
@@ -63,27 +52,9 @@ from ..errors import ShmError
 from ..obs.context import record_metric
 from ..video.frame import Frame, Video
 
-#: Environment kill-switch: any truthy value forces ``generate`` mode.
-NO_SHM_ENV = "REPRO_NO_SHM"
-#: Environment mode override: ``shm`` | ``pickle`` | ``generate``.
-MODE_ENV = "REPRO_SHM_MODE"
 #: Every segment name starts with this, so a leak scan (tests, CI) can
 #: recognise ours without false positives from other tenants.
 SEGMENT_PREFIX = "repro-shm-"
-
-_MODES = ("shm", "pickle", "generate")
-
-
-def shm_mode() -> str:
-    """Effective video-delivery mode: kill-switch > mode env > shm."""
-    if os.environ.get(NO_SHM_ENV, "").lower() in ("1", "true", "yes"):
-        return "generate"
-    mode = os.environ.get(MODE_ENV, "").lower() or "shm"
-    if mode not in _MODES:
-        raise ShmError(
-            f"{MODE_ENV}={mode!r} is not one of {', '.join(_MODES)}"
-        )
-    return mode
 
 
 def _segment_name() -> str:
@@ -136,8 +107,9 @@ class InlineVideo:
     The stacked arrays pickle as three dense buffers; ``to_video()``
     rebuilds per-frame views without further copies, so the cost is
     one serialise/deserialise of the raw planes per *cell* — exactly
-    the overhead the shared-memory path exists to avoid, kept as the
-    measurable baseline.
+    the overhead the shared-memory path exists to avoid.  It is the
+    delivery fallback for a clip whose publish failed, and the
+    measurable baseline of the payload benches.
     """
 
     name: str

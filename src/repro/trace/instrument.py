@@ -360,8 +360,10 @@ class Instrumenter:
         count = len(self._branch_pcs)
         if not count:
             return
-        pcs = np.frombuffer(self._branch_pcs, dtype=np.int64).copy()
-        taken = np.frombuffer(self._branch_taken, dtype=np.int8).copy()
+        # Views, not copies: the buffers are replaced right below, so
+        # the sinks get the only remaining reference to them.
+        pcs = np.frombuffer(self._branch_pcs, dtype=np.int64)
+        taken = np.frombuffer(self._branch_taken, dtype=np.int8)
         self._branch_pcs = array("q")
         self._branch_taken = array("b")
         self._branches_flushed += count
@@ -373,13 +375,13 @@ class Instrumenter:
         count = len(self._touch_base)
         if not count:
             return
-        columns = (
-            np.frombuffer(self._touch_base, dtype=np.int64).copy(),
-            np.frombuffer(self._touch_rows, dtype=np.int64).copy(),
-            np.frombuffer(self._touch_rowbytes, dtype=np.int64).copy(),
-            np.frombuffer(self._touch_pitch, dtype=np.int64).copy(),
-            np.frombuffer(self._touch_write, dtype=np.int8).copy(),
-            np.frombuffer(self._touch_repeats, dtype=np.int64).copy(),
+        columns = (  # views, as in _flush_branch_chunk
+            np.frombuffer(self._touch_base, dtype=np.int64),
+            np.frombuffer(self._touch_rows, dtype=np.int64),
+            np.frombuffer(self._touch_rowbytes, dtype=np.int64),
+            np.frombuffer(self._touch_pitch, dtype=np.int64),
+            np.frombuffer(self._touch_write, dtype=np.int8),
+            np.frombuffer(self._touch_repeats, dtype=np.int64),
         )
         self._touch_base = array("q")
         self._touch_rows = array("q")

@@ -9,8 +9,7 @@ championship rules bound (the paper compares 2 KB/32 KB Gshare with
 Two replay paths exist (DESIGN.md "Kernel architecture"):
 
 - the **scalar reference** — the per-event ``predict_update`` loop,
-  selected by ``REPRO_SCALAR_KERNELS=1`` or
-  :func:`repro.kernels.scalar_kernels`;
+  selected by :func:`repro.kernels.scalar_kernels`;
 - the **vectorized fast path** — :meth:`BranchPredictor.replay` over
   the trace's columnar form, overridden per predictor with NumPy
   kernels that are bit-equal to the scalar walk (mispredict count

@@ -16,12 +16,14 @@ from repro.core import (
     workload_scales,
 )
 from repro.errors import ExperimentError
+from repro.experiments import run_experiment
 from repro.profiling import (
     flat_profile,
     format_flat_profile,
     format_perf_report,
     hottest_function,
 )
+from repro.validate.engine import SESSION_EXPERIMENTS
 from repro.video.synthetic import ContentSpec, generate
 
 
@@ -107,6 +109,45 @@ class TestSession:
         own.report("x264", "cat", crf=30, preset=8)
         own.clear()
         assert len(own) == 0
+
+
+class _SessionUsed(Exception):
+    """Raised by the stubbed session in place of an encode."""
+
+
+class TestExperimentsUseGivenSession:
+    """An experiment computes in the session it is given, even an empty
+    one (``Session`` defines ``__len__``, so an empty one is falsy)."""
+
+    @pytest.fixture()
+    def used(self, monkeypatch):
+        used = []
+
+        def prefetch(self, specs, workers=None):
+            used.append(self)
+            return 0
+
+        def compute(self, *args, **kwargs):
+            used.append(self)
+            raise _SessionUsed
+
+        monkeypatch.setattr(Session, "prefetch", prefetch)
+        monkeypatch.setattr(Session, "report", compute)
+        monkeypatch.setattr(Session, "encode", compute)
+        return used
+
+    @pytest.mark.parametrize(
+        "experiment_id",
+        sorted(SESSION_EXPERIMENTS)
+        + ["fig12", "fig13", "fig14", "fig15", "fig16"],
+    )
+    def test_empty_session_is_the_one_used(self, used, experiment_id):
+        given = Session()
+        assert not given
+        with pytest.raises(_SessionUsed):
+            run_experiment(experiment_id, session=given)
+        assert used
+        assert all(session is given for session in used)
 
 
 class TestSweepHelpers:

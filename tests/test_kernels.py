@@ -128,15 +128,14 @@ class TestKernelSwitch:
         assert ref.results == vec.results
         assert ref.mean_mpki() == vec.mean_mpki()
 
-    def test_env_flag_forces_scalar(self, monkeypatch):
-        monkeypatch.setenv(kernels.SCALAR_ENV, "1")
-        assert not kernels.vectorized_enabled()
-        with kernels.vectorized_kernels():
-            assert kernels.vectorized_enabled()
-        monkeypatch.setenv(kernels.SCALAR_ENV, "0")
+    def test_scoped_overrides_nest(self):
         assert kernels.vectorized_enabled()
         with kernels.scalar_kernels():
             assert not kernels.vectorized_enabled()
+            with kernels.vectorized_kernels():
+                assert kernels.vectorized_enabled()
+            assert not kernels.vectorized_enabled()
+        assert kernels.vectorized_enabled()
 
 
 class TestEncoderBatchingEquivalence:

@@ -307,7 +307,9 @@ class TestPooledTelemetry:
     def test_run_dir_cells_do_not_trace_allocations(
         self, monkeypatch, tmp_path
     ):
-        """A run directory must not put cells under ``tracemalloc``."""
+        """A run directory measures each cell by its worker's RSS
+        high-water mark, never by running it under ``tracemalloc``."""
+        from repro.obs.report import run_report
 
         def fake(codec, video, machine=None, crf=None, preset=None,
                  num_frames=None):
@@ -317,11 +319,15 @@ class TestPooledTelemetry:
             return synthetic_report(codec, video, crf=crf, preset=preset)
 
         monkeypatch.setattr(session_mod, "characterize", fake)
-        result = run_experiment(
-            "fig04", workers=2, run_dir=str(tmp_path / "run")
-        )
+        run_dir = str(tmp_path / "run")
+        result = run_experiment("fig04", workers=2, run_dir=run_dir)
         assert result.provenance["quarantined"] == []
         assert len(result.tables[0].rows) == GRID_CELLS
+        report = run_report(run_dir)
+        assert report["cell_peaks"]
+        assert all(
+            row["cell_peak_rss_kib"] > 0 for row in report["cell_peaks"]
+        )
 
     def test_refused_peak_reset_omits_cell_peaks(
         self, stub_characterize, monkeypatch, tmp_path
@@ -429,104 +435,3 @@ class TestQuarantinePlaceholders:
         assert results[1] is not None
         with pytest.raises(QuarantinedCellError):
             session.report("svt-av1", "desktop", 35, 6)
-
-
-class TestAffinity:
-    def test_default_is_off(self):
-        from repro.parallel.pool import resolve_affinity
-
-        assert resolve_affinity() is False
-
-    def test_env_resolution(self, monkeypatch):
-        from repro.parallel.pool import resolve_affinity
-
-        for raw in ("1", "true", "YES", " on "):
-            monkeypatch.setenv("REPRO_AFFINITY", raw)
-            assert resolve_affinity() is True
-        for raw in ("0", "false", "no", "off", ""):
-            monkeypatch.setenv("REPRO_AFFINITY", raw)
-            assert resolve_affinity() is False
-
-    def test_bad_env_rejected(self, monkeypatch):
-        from repro.parallel.pool import resolve_affinity
-
-        monkeypatch.setenv("REPRO_AFFINITY", "maybe")
-        with pytest.raises(ExperimentError, match="REPRO_AFFINITY"):
-            resolve_affinity()
-
-    def test_ambient_and_explicit_beat_env(self, monkeypatch):
-        from repro.parallel.pool import resolve_affinity
-
-        monkeypatch.setenv("REPRO_AFFINITY", "1")
-        with activate_parallel(ParallelConfig(affinity=False)):
-            assert resolve_affinity() is False
-            assert resolve_affinity(True) is True
-
-    def test_partition_disjoint_cover(self):
-        from repro.parallel.pool import partition_cores
-
-        sets = partition_cores(3, cores=range(8))
-        assert sets is not None
-        assert len(sets) == 3
-        flat = [c for block in sets for c in block]
-        assert sorted(flat) == list(range(8))  # disjoint, full cover
-        assert {len(block) for block in sets} <= {2, 3}
-
-    def test_partition_more_workers_than_cores(self):
-        from repro.parallel.pool import partition_cores
-
-        sets = partition_cores(5, cores=[0, 1])
-        assert sets == [(0,), (1,), (0,), (1,), (0,)]
-
-    def test_partition_unsupported_platform(self, monkeypatch):
-        from repro.parallel import pool
-
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        assert pool.partition_cores(2) is None
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"),
-        reason="no scheduler affinity on this platform",
-    )
-    def test_pinned_pooled_matches_serial_exactly(self, stub_characterize):
-        serial = run_experiment("fig04", workers=1)
-        pinned = run_experiment("fig04", workers=WORKERS, affinity=True)
-        assert pinned.tables == serial.tables
-        assert pinned.series == serial.series
-        assert pinned.provenance["parallel"]["affinity"] is True
-        assert serial.provenance["parallel"]["affinity"] is False
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"),
-        reason="no scheduler affinity on this platform",
-    )
-    def test_workers_pin_to_distinct_sets(self, stub_characterize, tmp_path):
-        from repro.obs.report import run_report
-        from repro.obs.runstatus import load_run_status
-
-        run_dir = str(tmp_path / "run")
-        result = run_experiment(
-            "fig04", workers=2, affinity=True, run_dir=run_dir
-        )
-        assert result.provenance["parallel"]["affinity"] is True
-        status = load_run_status(run_dir)
-        pinned = [w for w in status.workers if w.affinity is not None]
-        assert pinned, "no worker telemetry recorded an affinity set"
-        for worker in pinned:
-            assert worker.affinity == sorted(worker.affinity)
-        if os.cpu_count() and os.cpu_count() >= 2 and len(pinned) >= 2:
-            assert any(
-                a.affinity != b.affinity
-                for a in pinned
-                for b in pinned
-                if a.stream != b.stream
-            )
-        report = run_report(run_dir)
-        assert any(
-            row.get("affinity") is not None for row in report["workers"]
-        )
-        # Telemetry-enabled cells record their peak RSS.
-        assert report["cell_peaks"]
-        assert all(
-            row["cell_peak_rss_kib"] > 0 for row in report["cell_peaks"]
-        )

@@ -1,12 +1,13 @@
 """Unit tests for the zero-copy shared-memory data plane.
 
 Covers the publish/attach round-trip (zero-copy, read-only views),
-the pickle-path twin, the fallback matrix (`REPRO_NO_SHM`,
-`REPRO_SHM_MODE`, bogus-segment attach), the data plane's
-refcount/unlink lifecycle, run-manifest registration, and the
+the pickle-path twin, the delivery fallbacks (a failed publish ships
+the clip inline, a bogus segment regenerates on attach), the data
+plane's refcount/unlink lifecycle, run-manifest registration, and the
 session-side video LRU that attaches payloads exactly once per clip.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -16,8 +17,14 @@ import pytest
 
 os.environ.setdefault("REPRO_FAST", "1")
 
-from repro.core.session import VIDEO_LRU_CAPACITY, Session  # noqa: E402
+from repro.core.serialize import to_jsonable  # noqa: E402
+from repro.core.session import (  # noqa: E402
+    VIDEO_LRU_CAPACITY,
+    CellSpec,
+    Session,
+)
 from repro.errors import ShmError  # noqa: E402
+from repro.parallel.pool import execute_cells  # noqa: E402
 from repro.parallel.shm import (  # noqa: E402
     SEGMENT_PREFIX,
     InlineVideo,
@@ -26,7 +33,6 @@ from repro.parallel.shm import (  # noqa: E402
     attach_video,
     leaked_segments,
     publish_video,
-    shm_mode,
     video_from_payload,
 )
 from repro.video import vbench  # noqa: E402
@@ -136,28 +142,6 @@ class TestInlineVideo:
             video_from_payload("desktop")
 
 
-class TestShmMode:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-        monkeypatch.delenv("REPRO_SHM_MODE", raising=False)
-        assert shm_mode() == "shm"
-
-    def test_kill_switch_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        monkeypatch.setenv("REPRO_SHM_MODE", "pickle")
-        assert shm_mode() == "generate"
-
-    def test_mode_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-        monkeypatch.setenv("REPRO_SHM_MODE", "pickle")
-        assert shm_mode() == "pickle"
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MODE", "telepathy")
-        with pytest.raises(ShmError, match="REPRO_SHM_MODE"):
-            shm_mode()
-
-
 class TestShmDataPlane:
     def test_publish_memoises_and_refcounts(self, video):
         with ShmDataPlane() as plane:
@@ -240,3 +224,36 @@ class TestSessionVideoLru:
         first = session.video("desktop")
         session.clear()
         assert session.video("desktop") is not first
+
+
+class TestPublishFallback:
+    def test_failed_publish_ships_the_registered_clip(self, monkeypatch):
+        """Pooled == serial over a registered video when shm is refused.
+
+        The registered clip differs from the catalog default (another
+        content seed), so a worker that regenerated by name would
+        encode different frames and report different counters.
+        """
+        frames = 2
+        content = dataclasses.replace(
+            vbench.entry("game1").spec(frames), seed=7
+        )
+        source = InlineVideo.from_video(generate(content))
+
+        def refuse(self, video):
+            raise ShmError("shared memory refused")
+
+        monkeypatch.setattr(ShmDataPlane, "publish", refuse)
+        cells = [
+            CellSpec("svt-av1", "game1", 60, 8),
+            CellSpec("svt-av1", "game1", 50, 8),
+        ]
+        runs = {}
+        for workers in (1, 2):
+            session = Session(num_frames=frames)
+            session.add_video_source("game1", frames, source)
+            runs[workers] = [
+                to_jsonable(report)
+                for report in execute_cells(session, cells, workers=workers)
+            ]
+        assert runs[2] == runs[1]

@@ -1,4 +1,4 @@
-"""Live-run telemetry: sinks, run status, health report, OpenMetrics.
+"""Live-run telemetry: sinks, run status, health report, artifacts.
 
 The observability PR's acceptance criteria, exercised end-to-end with
 the characterization pass stubbed (same synthetic-report fixture as
@@ -19,7 +19,7 @@ the chaos suite):
   run-health view: slowest cells, lease incidents, fault timeline,
   per-phase time;
 - a completed ``--run-dir`` run writes the full artifact contract
-  (OBSERVABILITY.md), including an OpenMetrics ``metrics.prom``.
+  (OBSERVABILITY.md), with the metrics snapshot as ``metrics.json``.
 """
 
 import json
@@ -39,11 +39,6 @@ from repro.errors import (  # noqa: E402
 )
 from repro.experiments import common, run_experiment  # noqa: E402
 from repro.obs.context import ObsContext  # noqa: E402
-from repro.obs.openmetrics import (  # noqa: E402
-    metric_name,
-    render_openmetrics,
-    write_openmetrics,
-)
 from repro.obs.report import format_report, run_report  # noqa: E402
 from repro.obs.runstatus import (  # noqa: E402
     RunStatus,
@@ -234,48 +229,6 @@ class TestTelemetryReading:
         (tmp_path / "README.txt").write_text("not telemetry")
         streams = read_telemetry(str(tmp_path))
         assert sorted(streams) == ["parent-10", "worker-11"]
-
-
-class TestOpenMetrics:
-    def test_metric_name_sanitisation(self):
-        assert metric_name("pool.leases.granted", "_total") == (
-            "repro_pool_leases_granted_total"
-        )
-        assert metric_name("cells-ok") == "repro_cells_ok"
-        assert metric_name("0weird") == "repro__0weird"
-
-    def test_counters_and_gauges_render(self):
-        obs = ObsContext()
-        obs.metrics.counter("cells.ok").inc(6)
-        obs.metrics.gauge("pool.width").set(2.5)
-        body = render_openmetrics(obs.metrics.snapshot())
-        assert "# TYPE repro_cells_ok counter\n" in body
-        assert "repro_cells_ok_total 6\n" in body
-        assert "# TYPE repro_pool_width gauge\n" in body
-        assert "repro_pool_width 2.5\n" in body
-        assert body.endswith("# EOF\n")
-
-    def test_histogram_buckets_are_cumulative(self):
-        obs = ObsContext()
-        hist = obs.metrics.histogram("cell.seconds", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            hist.observe(value)
-        body = render_openmetrics(obs.metrics.snapshot())
-        assert 'repro_cell_seconds_bucket{le="0.1"} 1' in body
-        assert 'repro_cell_seconds_bucket{le="1"} 3' in body
-        assert 'repro_cell_seconds_bucket{le="+Inf"} 4' in body
-        assert "repro_cell_seconds_count 4" in body
-        assert "repro_cell_seconds_sum 6.05" in body
-
-    def test_write_counts_sample_lines(self, tmp_path):
-        obs = ObsContext()
-        obs.metrics.counter("a").inc()
-        obs.metrics.gauge("b").set(1)
-        path = str(tmp_path / "metrics.prom")
-        written = write_openmetrics(path, obs.metrics.snapshot())
-        assert written == 2
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read().endswith("# EOF\n")
 
 
 class TestRunStatusMath:
@@ -542,9 +495,11 @@ class TestRunDirectoryContract:
             "fig04", workers=WORKERS, run_dir=str(run_dir), **FAST_HB
         )
         assert result.provenance["parallel"]["run_dir"] == str(run_dir)
-        for name in ("run.json", "ledger.jsonl", "spans.jsonl",
-                     "metrics.json", "metrics.prom", "trace.json"):
-            assert (run_dir / name).exists(), name
+        # Exactly the contract: every artifact, and nothing else.
+        assert sorted(entry.name for entry in run_dir.iterdir()) == [
+            "heartbeats", "ledger.jsonl", "metrics.json", "run.json",
+            "spans.jsonl", "telemetry", "trace.json",
+        ]
         assert (run_dir / "telemetry").is_dir()
         assert (run_dir / "heartbeats").is_dir()
 
@@ -552,9 +507,8 @@ class TestRunDirectoryContract:
         assert manifest["status"] == "complete"
         assert manifest["ended_wall"] >= manifest["started_wall"]
 
-        prom = (run_dir / "metrics.prom").read_text()
-        assert "repro_cells_ok_total 6" in prom
-        assert prom.endswith("# EOF\n")
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["counters"]["cells.ok"] == GRID_CELLS
 
         status = load_run_status(str(run_dir))
         assert status.cells_ok == GRID_CELLS

@@ -7,6 +7,8 @@ and the interaction of ``record_branches=False`` /
 ``record_touches=False`` with registered sinks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,54 @@ class TestSinkRegistration:
         assert chunks == []
         inst.flush_stream()
         assert len(chunks) == 1 and chunks[0].size == 50
+
+
+class TestFlushMemory:
+    """A flush hands its buffers over instead of copying them: the
+    tracemalloc peak across a flush stays within 1.2x of what the
+    instrumenter held before it."""
+
+    @staticmethod
+    def _flush_peak_ratio(inst, fill):
+        kept = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fill()
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            inst.flush_stream()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / held
+
+    def test_branch_flush_does_not_copy(self):
+        inst = Instrumenter()
+        chunks = []
+        inst.register_branch_sink(
+            lambda pcs, taken: chunks.append((pcs, taken)), window=0
+        )
+
+        def fill():
+            for i in range(1 << 18):
+                inst.branch(0x4000 + (i & 0xFF), i & 1)
+
+        assert self._flush_peak_ratio(inst, fill) < 1.2
+        assert sum(pcs.size for pcs, _ in chunks) == 1 << 18
+
+    def test_touch_flush_does_not_copy(self):
+        inst = Instrumenter()
+        chunks = []
+        inst.register_touch_sink(lambda *cols: chunks.append(cols), window=0)
+        plane = inst.register_plane(128)
+
+        def fill():
+            for i in range(1 << 15):
+                inst.touch(plane, i & 63, 2, i & 31, 16, write=bool(i & 1))
+
+        assert self._flush_peak_ratio(inst, fill) < 1.2
+        assert sum(cols[0].size for cols in chunks) == 1 << 15
 
 
 class TestZeroEventCells:
