@@ -10,12 +10,11 @@ Times the in-cell hot paths the kernel layer vectorizes:
 - **replay batch** — many small traces through one predictor config:
   ``run_trace_batch`` (one disjoint-index-space kernel call) against
   the per-trace ``run_trace`` loop;
-- **capture stream** — the capture pipeline's peak memory
-  (tracemalloc): buffered capture plus post-hoc simulation of the
-  whole expanded line stream, against streaming sinks consuming the
-  same events chunk by chunk and against buffered capture simulated
-  through ``simulate_encode_traffic`` (touches expanded group by
-  group), counters bit-identical;
+- **capture** — the capture pipeline's peak memory (tracemalloc):
+  buffered capture plus post-hoc simulation of the whole expanded line
+  stream, against the same capture simulated through
+  ``simulate_encode_traffic`` (touches expanded group by group),
+  counters bit-identical;
 - **cache cascade** — ``CacheHierarchy.access_lines`` on the sampled
   line stream of a 4K-footprint encode: the stack-distance classifier
   against the scalar per-set LRU walk, counters and final contents
@@ -51,12 +50,11 @@ from repro.cbp.traces import capture_trace
 from repro.codecs.entropy import BoolEncoder, CoefficientCoder, ContextSet
 from repro.core.characterize import characterize, encode_workload
 from repro.trace.instrument import Instrumenter
-from repro.trace.sampling import MidpointReservoir, extract_midpoint_window
+from repro.trace.sampling import extract_midpoint_window
 from repro.uarch.branch.base import run_trace, run_trace_batch
 from repro.uarch.branch.tournament import TournamentPredictor
 from repro.uarch.cache import (
     CacheHierarchy,
-    TouchStreamSink,
     expand_touches,
     simulate_encode_traffic,
 )
@@ -74,8 +72,6 @@ REPLAY_SPEEDUP_FLOOR = 3.0
 CELL_SPEEDUP_FLOOR = 1.1
 #: Batched multi-trace replay vs the per-trace loop (same kernels).
 REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
-#: Buffered-capture peak over streaming-capture peak (tracemalloc).
-CAPTURE_STREAM_PEAK_FLOOR = 2.0
 #: Buffered-capture peak, whole line stream over grouped expansion.
 CAPTURE_GROUPED_PEAK_FLOOR = 3.0
 #: Vectorized over scalar L1D->L2->LLC cascade on the 4K capture.
@@ -96,11 +92,6 @@ CELL = {"encoder": "svt-av1", "video": "game1", "crf": 30, "preset": 4}
 CAPTURE_BRANCHES = 600_000
 CAPTURE_TOUCHES = 150_000
 CAPTURE_WINDOW = 50_000
-#: Flush threshold for the streaming measurement: the event buffers
-#: are O(window), so the leg pins a window well below the stream length
-#: (the ``REPRO_REPLAY_CHUNK`` default never flushes a 150k-touch
-#: stream mid-capture, which would measure nothing).
-CAPTURE_SINK_WINDOW = 16_384
 #: The cache-cascade leg's capture: a fast-preset encode of the 2160p
 #: clip, whose native footprint overflows the modelled LLC, so all
 #: three levels classify most of the stream.
@@ -122,8 +113,8 @@ def _drive_capture(inst):
 
     Events come from an inline LCG rather than pre-materialized
     arrays: the driver must not allocate O(stream) itself, or its own
-    transient lists would flatten the buffered-vs-streaming peak
-    ratio this leg exists to measure.
+    transient lists would flatten the whole-vs-grouped peak ratio this
+    leg exists to measure.
     """
     plane = inst.register_plane(512, scale_h=2.0, scale_w=2.0)
     branch, touch = inst.branch, inst.touch
@@ -171,32 +162,6 @@ def _measure_buffered_capture(simulate):
     simulate(inst, hierarchy)
     trace = extract_midpoint_window(
         inst, fraction=CAPTURE_WINDOW / CAPTURE_BRANCHES, name="bench"
-    )
-    sim = run_trace(machine.make_core_predictor(), trace)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak, _capture_fingerprint(hierarchy, trace, sim)
-
-
-def _measure_streaming_capture():
-    """Tracemalloc peak with sinks consuming the capture in flight."""
-    machine = XEON_E5_2650_V4
-    tracemalloc.start()
-    inst = Instrumenter()
-    hierarchy = CacheHierarchy(
-        machine.l1d, machine.l2, machine.llc, sample_period=8
-    )
-    inst.register_touch_sink(
-        TouchStreamSink(hierarchy), window=CAPTURE_SINK_WINDOW
-    )
-    reservoir = MidpointReservoir(CAPTURE_WINDOW)
-    inst.register_branch_sink(reservoir, window=CAPTURE_SINK_WINDOW)
-    _drive_capture(inst)
-    inst.flush_stream()
-    trace = reservoir.extract(
-        float(inst.total_instructions),
-        fraction=CAPTURE_WINDOW / CAPTURE_BRANCHES,
-        name="bench",
     )
     sim = run_trace(machine.make_core_predictor(), trace)
     _, peak = tracemalloc.get_traced_memory()
@@ -337,19 +302,15 @@ def test_kernel_speedups():
     replay_batch_speedup = min(batch_loop_seconds) / min(batch_seconds)
 
     # Capture-pipeline peak memory: buffered capture plus post-hoc
-    # simulation of the whole line stream, vs streaming sinks and vs
-    # grouped buffered simulation; same events, identical counters
-    # (best-of-rounds is meaningless for peaks; one pass of each is
-    # deterministic).
+    # simulation of the whole line stream, vs the grouped simulation
+    # production runs; same events, identical counters (best-of-rounds
+    # is meaningless for peaks; one pass of each is deterministic).
     buffered_peak, buffered_print = _measure_buffered_capture(
         _whole_stream_traffic
     )
     grouped_peak, grouped_print = _measure_buffered_capture(
         simulate_encode_traffic
     )
-    streaming_peak, streaming_print = _measure_streaming_capture()
-    capture_stream_parity = buffered_print == streaming_print
-    capture_stream_peak_ratio = buffered_peak / streaming_peak
     capture_grouped_parity = buffered_print == grouped_print
     capture_grouped_peak_ratio = buffered_peak / grouped_peak
 
@@ -391,12 +352,7 @@ def test_kernel_speedups():
         "replay_batch_parity": replay_batch_parity,
         "capture_branches": CAPTURE_BRANCHES,
         "capture_touches": CAPTURE_TOUCHES,
-        "capture_sink_window": CAPTURE_SINK_WINDOW,
         "capture_buffered_peak_kib": round(buffered_peak / 1024, 1),
-        "capture_streaming_peak_kib": round(streaming_peak / 1024, 1),
-        "capture_stream_peak_ratio": round(capture_stream_peak_ratio, 2),
-        "capture_stream_peak_ratio_floor": CAPTURE_STREAM_PEAK_FLOOR,
-        "capture_stream_parity": capture_stream_parity,
         "capture_grouped_peak_kib": round(grouped_peak / 1024, 1),
         "capture_grouped_peak_ratio": round(capture_grouped_peak_ratio, 2),
         "capture_grouped_peak_ratio_floor": CAPTURE_GROUPED_PEAK_FLOOR,
@@ -444,16 +400,6 @@ def test_kernel_speedups():
         f"batched replay only {replay_batch_speedup:.2f}x faster "
         f"({min(batch_seconds):.3f}s vs {min(batch_loop_seconds):.3f}s "
         f"looped); floor is {REPLAY_BATCH_SPEEDUP_FLOOR}x"
-    )
-    assert capture_stream_parity, (
-        "streaming capture diverged from the buffered pipeline"
-    )
-    assert capture_stream_peak_ratio >= CAPTURE_STREAM_PEAK_FLOOR, (
-        f"streaming capture only cut peak memory "
-        f"{capture_stream_peak_ratio:.2f}x "
-        f"({streaming_peak / 1024:.0f}KiB vs "
-        f"{buffered_peak / 1024:.0f}KiB buffered); "
-        f"floor is {CAPTURE_STREAM_PEAK_FLOOR}x"
     )
     assert capture_grouped_parity, (
         "grouped touch expansion diverged from the whole-stream cascade"

@@ -15,7 +15,7 @@ from ..errors import ExperimentError
 from ..obs.span import trace_span
 from ..resilience.faults import fault_point
 from ..uarch.machine import XEON_E5_2650_V4, MachineConfig
-from ..uarch.perfcounters import PerfReport, StreamingCapture, collect
+from ..uarch.perfcounters import PerfReport, collect
 from ..video import vbench
 from ..video.frame import Video
 
@@ -41,6 +41,15 @@ def workload_scales(video: Video, name: str | None = None) -> tuple[float, float
     return scale_h, scale_w, entry.pixel_scale, duration
 
 
+def _workload_video(video: Video | str, num_frames: int | None) -> Video:
+    """``video`` itself, or the named vbench clip at ``num_frames``."""
+    if not isinstance(video, str):
+        return video
+    if num_frames is None:
+        return vbench.load(video)
+    return vbench.load(video, num_frames=num_frames)
+
+
 def characterize(
     encoder: Encoder | str,
     video: Video | str,
@@ -49,7 +58,6 @@ def characterize(
     preset: int | None = None,
     num_frames: int | None = None,
     cache_sample_period: int = 8,
-    streaming: bool = False,
 ) -> PerfReport:
     """Encode a workload under full instrumentation and measure it.
 
@@ -64,16 +72,11 @@ def characterize(
         Target machine model.
     num_frames:
         Proxy sequence length when loading a catalog clip.
-    streaming:
-        Simulate while the encode runs: the capture streams its branch
-        and touch chunks to the cache hierarchy and the predictor's
-        midpoint reservoir instead of buffering whole event streams.
-        Event buffers then hold one flush window of events; the cache
-        simulation holds one touch group's rows plus one cascade
-        window of lines either way (see
-        :meth:`~repro.uarch.cache.CacheHierarchy.access_touches`).
-        Bit-identical to the buffered pass (the
-        ``capture-stream-parity`` invariant).
+
+    The encode buffers its whole capture; :func:`collect` then measures
+    it, expanding memory touches into the cache simulation a bounded
+    group at a time (see
+    :meth:`~repro.uarch.cache.CacheHierarchy.access_touches`).
     """
     if isinstance(encoder, str):
         if crf is None or preset is None:
@@ -81,30 +84,16 @@ def characterize(
                 "crf and preset are required when encoder is given by name"
             )
         encoder = create_encoder(encoder, crf=crf, preset=preset)
-    if isinstance(video, str):
-        video = (
-            vbench.load(video, num_frames=num_frames)
-            if num_frames is not None
-            else vbench.load(video)
-        )
+    video = _workload_video(video, num_frames)
     scale_h, scale_w, pixel_scale, duration_scale = workload_scales(video)
     with trace_span(
         "characterize", codec=encoder.name, video=video.name,
         frames=video.num_frames,
     ):
         fault_point(f"encode:{encoder.name}:{video.name}")
-        capture = (
-            StreamingCapture(
-                machine=machine, cache_sample_period=cache_sample_period
-            )
-            if streaming
-            else None
-        )
         with trace_span("encode", codec=encoder.name, video=video.name):
             result: EncodeResult = encoder.encode(
-                video,
-                instrumenter=capture.instrumenter if capture else None,
-                footprint_scale=(scale_h, scale_w),
+                video, footprint_scale=(scale_h, scale_w)
             )
         with trace_span("measure", codec=encoder.name, video=video.name):
             return collect(
@@ -114,29 +103,26 @@ def characterize(
                 duration_scale=duration_scale,
                 bitrate_scale=1.0,
                 cache_sample_period=cache_sample_period,
-                capture=capture,
             )
 
 
 def encode_workload(
     encoder_name: str,
-    video_name: str,
+    video: Video | str,
     crf: float,
     preset: int,
     num_frames: int | None = None,
 ) -> EncodeResult:
-    """Instrumented encode of a catalog clip (no measurement pass).
+    """Instrumented encode of a workload (no measurement pass).
 
-    Used where the raw :class:`~repro.codecs.base.EncodeResult` is the
+    ``video`` is a :class:`~repro.video.frame.Video` or a vbench clip
+    name, loaded at ``num_frames`` as in :func:`characterize`.  Used
+    where the raw :class:`~repro.codecs.base.EncodeResult` is the
     artifact of interest (thread-scaling task graphs, trace capture).
     """
-    video = (
-        vbench.load(video_name, num_frames=num_frames)
-        if num_frames is not None
-        else vbench.load(video_name)
-    )
+    video = _workload_video(video, num_frames)
     scale_h, scale_w, _, _ = workload_scales(video)
     encoder = create_encoder(encoder_name, crf=crf, preset=preset)
-    fault_point(f"encode:{encoder_name}:{video_name}")
-    with trace_span("encode", codec=encoder_name, video=video_name):
+    fault_point(f"encode:{encoder_name}:{video.name}")
+    with trace_span("encode", codec=encoder_name, video=video.name):
         return encoder.encode(video, footprint_scale=(scale_h, scale_w))

@@ -157,7 +157,11 @@ class Session:
         sweep that visits one clip at ten grid points generates — or
         attaches — its frames once, not ten times.
         """
-        frames = self.video_frames()
+        return self._clip(name, self.video_frames())
+
+    def _clip(self, name: str, frames: int) -> Video:
+        """The named catalog clip at ``frames`` frames: the memoised
+        copy, else the registered source, else a fresh generation."""
         spec = vbench.entry(name).spec(frames)
         from ..cache import video_content_key
 
@@ -330,12 +334,20 @@ class Session:
         preset: int,
         num_frames: int | None = None,
     ) -> EncodeResult:
-        """Instrumented encode (or cached) without the measurement pass."""
+        """Instrumented encode (or cached) without the measurement pass.
+
+        The clip resolves through this session, as for :meth:`report`,
+        at the frame count encoded.
+        """
         frames = num_frames if num_frames is not None else self.num_frames
         key = RunKey(codec, video, crf, preset, frames)
         cached = self._encodes.get(key)
         if cached is None:
-            cached = encode_workload(codec, video, crf, preset, frames)
+            clip = self._clip(
+                video,
+                num_frames if num_frames is not None else self.video_frames(),
+            )
+            cached = encode_workload(codec, clip, crf, preset)
             self._encodes[key] = cached
         return cached
 

@@ -17,10 +17,10 @@ PR 8 adds **streaming execution** on top: the vectorized replay and
 cache-walk kernels process long event streams in bounded windows with
 carried state, so their temporaries stay O(window) instead of
 O(events) at production frame counts.  The window counts events: a
-branch, a cache line, or a touch in a capture's flush threshold.  One
-touch expands to many lines (up to about 16k sampled lines for a
-frame-wide 2160p one), so the cache simulation bounds its expansion
-separately, in rows per touch group (``CacheHierarchy.access_touches``).
+branch in predictor replay, a line in the cache cascade.  One touch
+expands to many lines (up to about 16k sampled lines for a frame-wide
+2160p one), so the cache simulation bounds its expansion separately,
+in rows per touch group (``CacheHierarchy.access_touches``).
 Every kernel that streams writes back its full post-window state (the
 ``replay-scalar-parity`` invariant's probe-stream check pins this),
 so chunked execution is bit-equal to whole-stream execution by

@@ -957,28 +957,11 @@ def _run_supervised(
         heartbeat_interval=config.heartbeat_interval,
     )
     thread_rows: dict[tuple[int, int], int] = {}
-    supervisor = _Supervisor(session, pending, config, worker_count)
-
-    # Video data plane: resolve each distinct clip once in the parent
-    # (through the session, so a registered video source is what
-    # ships) and publish it to shared memory; a clip whose publish
-    # fails ships its planes inline instead.  The parent owns every
-    # shm segment for the whole dispatch loop — including across pool
-    # rebuilds, whose fresh workers re-attach the same segments — and
-    # the ``finally`` below unlinks them on drain, crash and normal
-    # completion alike.
     plane = ShmDataPlane(run_dir=run_dir)
     payloads: dict[str, Any] = {}
-    for name in dict.fromkeys(spec.video for _, spec in pending.values()):
-        try:
-            video = session.video(name)
-        except VideoError:
-            continue  # non-catalog clip: worker raises as before
-        try:
-            payloads[name] = plane.publish(video)
-        except ShmError:
-            record_metric("counter", "shm.publish.fallbacks")
-            payloads[name] = InlineVideo.from_video(video)
+    supervisor: _Supervisor | None = None
+    pool: ProcessPoolExecutor | None = None
+    merged = 0
 
     def job_template(
         spec: CellSpec, hb_path: str, prior: int
@@ -1017,9 +1000,6 @@ def _run_supervised(
             offset=offset, thread_rows=thread_rows,
         )
 
-    pool = make_pool()
-    merged = 0
-
     def rebuild_after_break(
         broken_pool: ProcessPoolExecutor, lost: list[Lease]
     ) -> ProcessPoolExecutor:
@@ -1049,6 +1029,27 @@ def _run_supervised(
         return make_pool()
 
     try:
+        supervisor = _Supervisor(session, pending, config, worker_count)
+        # Video data plane: resolve each distinct clip once in the
+        # parent (through the session, so a registered video source is
+        # what ships) and publish it to shared memory; a clip whose
+        # publish fails ships its planes inline instead.  The parent
+        # owns every shm segment for the whole dispatch loop —
+        # including across pool rebuilds, whose fresh workers re-attach
+        # the same segments — and the ``finally`` below unlinks them on
+        # drain, crash, a pool that never starts and normal completion
+        # alike, and removes the heartbeat directory with them.
+        for name in dict.fromkeys(spec.video for _, spec in pending.values()):
+            try:
+                video = session.video(name)
+            except VideoError:
+                continue  # non-catalog clip: worker raises as before
+            try:
+                payloads[name] = plane.publish(video)
+            except ShmError:
+                record_metric("counter", "shm.publish.fallbacks")
+                payloads[name] = InlineVideo.from_video(video)
+        pool = make_pool()
         with trace_span(
             "pool.supervise", cells=len(pending), workers=worker_count
         ):
@@ -1083,8 +1084,10 @@ def _run_supervised(
                     continue
                 supervisor.check_stalls(pool)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        supervisor.close()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if supervisor is not None:
+            supervisor.close()
         plane.close()
         if parent_sink is not None:
             parent_sink.annotate(phase=None)

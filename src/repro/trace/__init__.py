@@ -13,7 +13,6 @@ from .instruction import (
     InstrClass,
     InstructionCounts,
     LoopSummary,
-    MemoryTouch,
 )
 from .instrument import (
     LINE_BYTES,
@@ -36,7 +35,6 @@ __all__ = [
     "LINE_BYTES",
     "LoopSummary",
     "MIX_ORDER",
-    "MemoryTouch",
     "PlaneHandle",
     "extract_midpoint_window",
     "kernel_cost",

@@ -131,20 +131,3 @@ class LoopSummary:
         """Total dynamic branch instructions the summary represents."""
         return self.trip_count * self.invocations
 
-
-@dataclass(frozen=True)
-class MemoryTouch:
-    """A rectangular region of a plane touched by a kernel.
-
-    The cache simulator expands a touch into cache-line accesses using
-    the plane's pitch.  ``repeats`` says how many times the kernel
-    streamed over the region (re-touches usually hit in cache and the
-    simulator observes that naturally).
-    """
-
-    base_addr: int
-    rows: int
-    row_bytes: int
-    pitch: int
-    is_write: bool
-    repeats: int = 1

@@ -15,6 +15,10 @@ the three artifacts the paper's toolchain extracts from a real binary:
 3. **Memory touches** (→ cache simulation): rectangular plane regions,
    expanded to cache-line streams by the cache driver.
 
+Branches and touches are held as whole columnar streams until the
+encode returns, then measured offline (the paper's §4.4 method: Pin
+captures the run, and a window from its middle is replayed).
+
 Addresses are *native-footprint scaled*: the synthetic proxy videos are
 smaller than the vbench originals, so registered planes advertise the
 original pitch/height and proxy coordinates are scaled up when touches
@@ -34,36 +38,14 @@ import zlib
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-import numpy as np
-
-from .. import kernels
 from ..errors import TraceError
 from .costmodel import kernel_cost
-from .instruction import (
-    CLASS_INDEX,
-    BranchEvent,
-    InstrClass,
-    InstructionCounts,
-    LoopSummary,
-    MemoryTouch,
-)
+from .instruction import CLASS_INDEX, InstrClass, InstructionCounts, LoopSummary
 
 #: Cache-line size assumed by address generation.
 LINE_BYTES = 64
-
-#: A branch-stream consumer: receives one flushed chunk as columnar
-#: ``(pcs int64, taken int8)`` arrays in program order.
-BranchSink = Callable[[np.ndarray, np.ndarray], None]
-
-#: A touch-stream consumer: receives one flushed chunk as the six
-#: columnar touch arrays ``(base, rows, row_bytes, pitch, write,
-#: repeats)`` in program order.
-TouchSink = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    None,
-]
 
 #: Process-wide kernel-cost lookup cache (costs are immutable).
 _KERNEL_CACHE: dict = {}
@@ -119,26 +101,10 @@ class PlaneHandle:
 
 
 class Instrumenter:
-    """Collects instruction, branch, memory and profile data for one run.
+    """Collects instruction, branch, memory and profile data for one run."""
 
-    Parameters
-    ----------
-    record_branches:
-        When false, decision-branch events are counted but not buffered
-        (cheaper; used by bulk sweeps that only need counts).
-    record_touches:
-        When false, memory touches are aggregated into byte counters
-        only.
-    """
-
-    def __init__(
-        self,
-        record_branches: bool = True,
-        record_touches: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self._counts = InstructionCounts()
-        self.record_branches = record_branches
-        self.record_touches = record_touches
 
         # Pending (lazily folded) kernel charges.  Per-kernel unit
         # totals are sums of dyadic rationals (pixel counts and
@@ -157,28 +123,10 @@ class Instrumenter:
         self.decision_branches = 0
         self.decision_taken = 0
 
-        # Streaming sink mode: registered consumers receive bounded
-        # chunks and the buffers are surrendered at each flush, so the
-        # event buffers hold O(window) events instead of O(events);
-        # what a sink allocates per chunk is its own bound.  Once any
-        # events have been flushed the whole-stream accessors raise —
-        # the instrumenter no longer holds the complete stream.
-        self._branch_sinks: list[BranchSink] = []
-        self._touch_sinks: list[TouchSink] = []
-        self._branch_window = 0
-        self._touch_window = 0
-        self._branches_flushed = 0
-        self._touches_flushed = 0
-
-        # Cached object views (satellite of the columnar design: the
-        # deprecated per-event accessors used to rebuild full Python
-        # object lists on every read).
-        self._branch_events_cache: list[BranchEvent] | None = None
-        self._touches_cache: list[MemoryTouch] | None = None
-        self._loop_summaries_cache: list[LoopSummary] | None = None
-
-        # Compressed loop-branch summaries keyed by (pc, trip_count).
+        # Compressed loop-branch summaries keyed by (pc, trip_count),
+        # and their object view, rebuilt only after the loops change.
         self._loops: dict[tuple[int, int], int] = {}
+        self._loop_summaries_cache: list[LoopSummary] | None = None
 
         # Memory touch stream (columnar).
         self._touch_base = array("q")
@@ -298,114 +246,6 @@ class Instrumenter:
             self._fn_pending_top = parent_pending
 
     # ------------------------------------------------------------------
-    # Streaming sinks
-    # ------------------------------------------------------------------
-    def register_branch_sink(
-        self, sink: BranchSink, window: int | None = None
-    ) -> None:
-        """Stream branch chunks to ``sink(pcs, taken)`` as they fill.
-
-        ``window`` is the flush threshold in events; ``None`` resolves
-        :func:`repro.kernels.stream_chunk_events` (``REPRO_REPLAY_CHUNK``)
-        at registration time, and ``0`` flushes only at
-        :meth:`flush_stream`.  Registering a sink switches the branch
-        stream to streaming mode: buffers are surrendered at each
-        flush, so :meth:`branch_events` / :meth:`branch_arrays` raise
-        once anything has been flushed.
-        """
-        if not self.record_branches:
-            raise TraceError(
-                "cannot register a branch sink with record_branches=False: "
-                "no branch events are buffered to stream"
-            )
-        if self._branches_flushed:
-            raise TraceError(
-                "cannot register a branch sink after events were flushed; "
-                "earlier chunks would be missing from the new consumer"
-            )
-        self._branch_sinks.append(sink)
-        self._branch_window = (
-            kernels.stream_chunk_events() if window is None else max(int(window), 0)
-        )
-
-    def register_touch_sink(
-        self, sink: TouchSink, window: int | None = None
-    ) -> None:
-        """Stream touch chunks to ``sink(*columns)`` as they fill.
-
-        Same contract as :meth:`register_branch_sink`, over the six
-        columnar touch arrays.
-        """
-        if not self.record_touches:
-            raise TraceError(
-                "cannot register a touch sink with record_touches=False: "
-                "no memory touches are buffered to stream"
-            )
-        if self._touches_flushed:
-            raise TraceError(
-                "cannot register a touch sink after touches were flushed; "
-                "earlier chunks would be missing from the new consumer"
-            )
-        self._touch_sinks.append(sink)
-        self._touch_window = (
-            kernels.stream_chunk_events() if window is None else max(int(window), 0)
-        )
-
-    @property
-    def streaming(self) -> bool:
-        """True when any streaming sink is registered."""
-        return bool(self._branch_sinks or self._touch_sinks)
-
-    def _flush_branch_chunk(self) -> None:
-        count = len(self._branch_pcs)
-        if not count:
-            return
-        # Views, not copies: the buffers are replaced right below, so
-        # the sinks get the only remaining reference to them.
-        pcs = np.frombuffer(self._branch_pcs, dtype=np.int64)
-        taken = np.frombuffer(self._branch_taken, dtype=np.int8)
-        self._branch_pcs = array("q")
-        self._branch_taken = array("b")
-        self._branches_flushed += count
-        self._branch_events_cache = None
-        for sink in self._branch_sinks:
-            sink(pcs, taken)
-
-    def _flush_touch_chunk(self) -> None:
-        count = len(self._touch_base)
-        if not count:
-            return
-        columns = (  # views, as in _flush_branch_chunk
-            np.frombuffer(self._touch_base, dtype=np.int64),
-            np.frombuffer(self._touch_rows, dtype=np.int64),
-            np.frombuffer(self._touch_rowbytes, dtype=np.int64),
-            np.frombuffer(self._touch_pitch, dtype=np.int64),
-            np.frombuffer(self._touch_write, dtype=np.int8),
-            np.frombuffer(self._touch_repeats, dtype=np.int64),
-        )
-        self._touch_base = array("q")
-        self._touch_rows = array("q")
-        self._touch_rowbytes = array("q")
-        self._touch_pitch = array("q")
-        self._touch_write = array("b")
-        self._touch_repeats = array("q")
-        self._touches_flushed += count
-        self._touches_cache = None
-        for sink in self._touch_sinks:
-            sink(*columns)
-
-    def flush_stream(self) -> None:
-        """Flush any buffered partial chunks to the registered sinks.
-
-        Call once at end of capture; flushing with no sinks registered
-        is a no-op, so callers need not track the mode themselves.
-        """
-        if self._branch_sinks:
-            self._flush_branch_chunk()
-        if self._touch_sinks:
-            self._flush_touch_chunk()
-
-    # ------------------------------------------------------------------
     # Branch events
     # ------------------------------------------------------------------
     def site(self, name: str) -> int:
@@ -428,14 +268,8 @@ class Instrumenter:
         self.decision_branches += 1
         if taken:
             self.decision_taken += 1
-        if self.record_branches:
-            self._branch_pcs.append(pc)
-            self._branch_taken.append(1 if taken else 0)
-            if (
-                self._branch_window
-                and len(self._branch_pcs) >= self._branch_window
-            ):
-                self._flush_branch_chunk()
+        self._branch_pcs.append(pc)
+        self._branch_taken.append(1 if taken else 0)
 
     def loop(self, pc: int, trip_count: int, invocations: int = 1) -> None:
         """Record a counted loop's backward branch in compressed form."""
@@ -475,35 +309,8 @@ class Instrumenter:
             trip * n for (_, trip), n in self._loops.items()
         )
 
-    def _require_whole_branch_stream(self) -> None:
-        if self._branches_flushed:
-            raise TraceError(
-                "branch stream was flushed to registered sinks; the "
-                "instrumenter no longer holds the whole stream — consume "
-                "it through a branch sink instead"
-            )
-
-    def branch_events(self) -> list[BranchEvent]:
-        """Decision-branch events in program order.
-
-        .. deprecated:: prefer :meth:`branch_arrays` (or a registered
-           branch sink) — the columnar form is what every replay kernel
-           consumes.  This per-event object view is kept for existing
-           callers and built at most once per stream state.
-        """
-        self._require_whole_branch_stream()
-        cache = self._branch_events_cache
-        if cache is None or len(cache) != len(self._branch_pcs):
-            cache = [
-                BranchEvent(pc=pc, taken=bool(taken))
-                for pc, taken in zip(self._branch_pcs, self._branch_taken)
-            ]
-            self._branch_events_cache = cache
-        return cache
-
     def branch_arrays(self) -> tuple[array, array]:
         """Raw columnar branch buffers ``(pcs, taken)`` (zero-copy)."""
-        self._require_whole_branch_stream()
         return self._branch_pcs, self._branch_taken
 
     # ------------------------------------------------------------------
@@ -536,61 +343,15 @@ class Instrumenter:
             self.bytes_written += nbytes
         else:
             self.bytes_read += nbytes
-        if not self.record_touches:
-            return
         self._touch_base.append(base)
         self._touch_rows.append(native_rows)
         self._touch_rowbytes.append(native_cols)
         self._touch_pitch.append(plane.pitch)
         self._touch_write.append(1 if write else 0)
         self._touch_repeats.append(repeats)
-        if self._touch_window and len(self._touch_base) >= self._touch_window:
-            self._flush_touch_chunk()
-
-    def _require_whole_touch_stream(self) -> None:
-        if self._touches_flushed:
-            raise TraceError(
-                "touch stream was flushed to registered sinks; the "
-                "instrumenter no longer holds the whole stream — consume "
-                "it through a touch sink instead"
-            )
-
-    def touches(self) -> list[MemoryTouch]:
-        """Memory touches in program order.
-
-        .. deprecated:: prefer :meth:`touch_arrays` (or a registered
-           touch sink) — the cache driver consumes the columns
-           directly.  This per-event object view is kept for existing
-           callers and built at most once per stream state.
-        """
-        self._require_whole_touch_stream()
-        cache = self._touches_cache
-        if cache is not None and len(cache) == len(self._touch_base):
-            return cache
-        cache = [
-            MemoryTouch(
-                base_addr=base,
-                rows=rows,
-                row_bytes=row_bytes,
-                pitch=pitch,
-                is_write=bool(write),
-                repeats=repeats,
-            )
-            for base, rows, row_bytes, pitch, write, repeats in zip(
-                self._touch_base,
-                self._touch_rows,
-                self._touch_rowbytes,
-                self._touch_pitch,
-                self._touch_write,
-                self._touch_repeats,
-            )
-        ]
-        self._touches_cache = cache
-        return cache
 
     def touch_arrays(self) -> tuple[array, array, array, array, array, array]:
         """Raw columnar touch buffers (zero-copy)."""
-        self._require_whole_touch_stream()
         return (
             self._touch_base,
             self._touch_rows,
@@ -615,13 +376,6 @@ class Instrumenter:
         Used by the thread-scalability model, where per-task
         instrumenters are merged into a whole-encode view.
         """
-        if self.streaming or other.streaming:
-            raise TraceError(
-                "cannot merge streaming instrumenters: flushed chunks "
-                "are owned by their sinks, not the instrumenter"
-            )
-        self._branch_events_cache = None
-        self._touches_cache = None
         self._loop_summaries_cache = None
         self.counts.merge(other.counts)
         self.decision_branches += other.decision_branches

@@ -623,10 +623,11 @@ def expand_touch_columns(
     :class:`CacheHierarchy`'s set sampling.
 
     Every stage is per-touch independent and order-preserving, so the
-    expansion is **concatenation-safe**: expanding a touch stream chunk
-    by chunk yields exactly the concatenation of the chunks' line
-    streams.  That property is what lets a streaming capture feed the
-    hierarchy while the encode runs (see :class:`TouchStreamSink`).
+    expansion is **concatenation-safe**: expanding a touch stream group
+    by group yields exactly the concatenation of the groups' line
+    streams.  That property is what lets
+    :meth:`CacheHierarchy.access_touches` cascade a capture's touches a
+    bounded group at a time.
 
     Lines are int32 when every line index fits in 31 bits, else int64.
     """
@@ -722,9 +723,7 @@ def expand_touches(
 ) -> np.ndarray:
     """Expand an instrumenter's buffered touches into sampled lines.
 
-    Whole-stream wrapper over :func:`expand_touch_columns`; raises if
-    the instrumenter streamed its touches to sinks (the whole stream is
-    no longer held).
+    Whole-stream wrapper over :func:`expand_touch_columns`.
     """
     bases, rows, row_bytes, pitches, _writes, repeats = (
         instrumenter.touch_arrays()
@@ -733,41 +732,6 @@ def expand_touches(
         bases, rows, row_bytes, pitches, repeats,
         sample_period=sample_period, line_bytes=line_bytes,
     )
-
-
-class TouchStreamSink:
-    """Touch sink cascading each flushed chunk through a hierarchy.
-
-    Register on an :class:`~repro.trace.instrument.Instrumenter` to
-    simulate cache traffic *while the encode runs*: each chunk goes
-    through :meth:`CacheHierarchy.access_touches`, and the hierarchy's
-    per-set warm state carries across chunks (the expansion is
-    concatenation-safe, see :func:`expand_touch_columns`) — so final
-    counters and contents are bit-identical to a whole-stream replay.
-    The chunk's touch columns are held until it is consumed, but its
-    lines never are: expansion temporaries are bounded by one touch
-    group's rows plus one cascade window, whatever the chunk's length
-    in touches.
-    """
-
-    def __init__(self, hierarchy: CacheHierarchy) -> None:
-        self.hierarchy = hierarchy
-        self.chunks = 0
-        self.lines = 0
-
-    def __call__(
-        self,
-        base: np.ndarray,
-        rows: np.ndarray,
-        row_bytes: np.ndarray,
-        pitch: np.ndarray,
-        write: np.ndarray,
-        repeats: np.ndarray,
-    ) -> None:
-        self.chunks += 1
-        self.lines += self.hierarchy.access_touches(
-            base, rows, row_bytes, pitch, repeats
-        )
 
 
 def simulate_encode_traffic(

@@ -14,6 +14,10 @@ top-down methodology over one encoder invocation.  It:
 4. scales proxy instruction counts to native-equivalent counts and
    derives execution time at the machine's clock.
 
+It runs once the encode has returned, over the whole capture the
+instrumenter buffered: the paper's method of capturing a run and then
+replaying it offline (§4.4).
+
 Scaling conventions (DESIGN.md §2): ``pixel_scale`` converts proxy-
 resolution work to the original clip's resolution (applies to both
 instruction counts and the denominators of data-side MPKI, since the
@@ -30,11 +34,9 @@ from ..codecs.base import EncodeResult
 from ..errors import SimulationError
 from ..resilience.faults import fault_point
 from ..trace.instruction import InstrClass
-from ..trace.instrument import Instrumenter
-from ..trace.sampling import MidpointReservoir
 from .branch.base import run_trace
 from .branch.loopmodel import model_loops
-from .cache import CacheHierarchy, TouchStreamSink, simulate_encode_traffic
+from .cache import CacheHierarchy, simulate_encode_traffic
 from .machine import XEON_E5_2650_V4, MachineConfig
 from .pipeline import CoreModelInput, CoreModelResult, run_core_model
 from .topdown import TopDown
@@ -91,64 +93,8 @@ class PerfReport:
         }
 
 
-class StreamingCapture:
-    """Consumers wired to an instrumenter for an in-flight measurement.
-
-    Bundles what the buffered measurement pass builds *after* the
-    encode — the cache hierarchy and the predictor's midpoint branch
-    window — as streaming sinks that consume the capture *during* the
-    encode: memory touches cascade through the hierarchy chunk by
-    chunk, and a :class:`~repro.trace.sampling.MidpointReservoir`
-    retains only the branch events the centred window can still need.
-    Event buffers hold at most one flush window of events, counted in
-    touches, not lines: each chunk's cache simulation holds one touch
-    group's rows plus one cascade window of lines (see
-    :meth:`~repro.uarch.cache.CacheHierarchy.access_touches`).  Every
-    counter the report derives is bit-identical to the buffered path
-    (the ``capture-stream-parity`` invariant pins this).
-
-    Use: construct, pass :attr:`instrumenter` to the encoder, then hand
-    the capture to :func:`collect` via its ``capture`` parameter.
-
-    Parameters mirror :func:`collect`'s measurement knobs; ``window``
-    is the flush threshold in events (default
-    :func:`repro.kernels.stream_chunk_events`).
-    """
-
-    def __init__(
-        self,
-        machine: MachineConfig = XEON_E5_2650_V4,
-        cache_sample_period: int = 8,
-        branch_window: int = 50_000,
-        window: int | None = None,
-    ) -> None:
-        self.machine = machine
-        self.branch_window = branch_window
-        self.instrumenter = Instrumenter()
-        self.hierarchy = CacheHierarchy(
-            machine.l1d, machine.l2, machine.llc,
-            sample_period=cache_sample_period,
-        )
-        self.touch_sink = TouchStreamSink(self.hierarchy)
-        self.reservoir = MidpointReservoir(branch_window)
-        self.instrumenter.register_touch_sink(self.touch_sink, window=window)
-        self.instrumenter.register_branch_sink(self.reservoir, window=window)
-
-    def finish(self) -> None:
-        """Flush the tail chunks (idempotent; :func:`collect` calls it)."""
-        self.instrumenter.flush_stream()
-
-    @property
-    def peak_retained_events(self) -> int:
-        """Branch events currently held by the reservoir."""
-        return self.reservoir.retained_events
-
-
 def _branch_report(
-    result: EncodeResult,
-    machine: MachineConfig,
-    window: int,
-    capture: StreamingCapture | None = None,
+    result: EncodeResult, machine: MachineConfig, window: int
 ) -> BranchReport:
     inst = result.instrumenter
     total_branches = inst.counts.counts[InstrClass.BRANCH]
@@ -160,16 +106,9 @@ def _branch_report(
     from ..trace.sampling import extract_midpoint_window
 
     fraction = min(1.0, window / decision)
-    if capture is not None:
-        trace = capture.reservoir.extract(
-            inst.total_instructions,
-            fraction=fraction,
-            name=f"{result.video_name}-core",
-        )
-    else:
-        trace = extract_midpoint_window(
-            inst, fraction=fraction, name=f"{result.video_name}-core"
-        )
+    trace = extract_midpoint_window(
+        inst, fraction=fraction, name=f"{result.video_name}-core"
+    )
     predictor = machine.make_core_predictor()
     sim = run_trace(predictor, trace)
     decision_miss_rate = sim.miss_rate
@@ -210,7 +149,6 @@ def collect(
     cache_sample_period: int = 8,
     branch_window: int = 50_000,
     hierarchy: CacheHierarchy | None = None,
-    capture: StreamingCapture | None = None,
 ) -> PerfReport:
     """Measure one encode the way the paper measures a run.
 
@@ -233,52 +171,24 @@ def collect(
         Decision branches simulated through the core predictor.
     hierarchy:
         Optional pre-built hierarchy (for warm-cache experiments).
-    capture:
-        A :class:`StreamingCapture` whose instrumenter ran the encode.
-        The cache traffic was then simulated *during* the encode and
-        the branch window retained by the reservoir, so this pass only
-        finishes the tail flush and reads the results — bit-identical
-        to the buffered path.  Mutually exclusive with ``hierarchy``;
-        ``branch_window`` must match the capture's.
     """
     if pixel_scale <= 0 or duration_scale <= 0:
         raise SimulationError("scales must be positive")
     fault_point(f"sim:collect:{result.codec}:{result.video_name}")
     inst = result.instrumenter
-    if capture is not None:
-        if capture.instrumenter is not inst:
-            raise SimulationError(
-                "capture.instrumenter did not run this encode; the "
-                "streamed traffic belongs to a different result"
-            )
-        if hierarchy is not None:
-            raise SimulationError(
-                "capture and hierarchy are mutually exclusive: the "
-                "capture already owns a (fed) hierarchy"
-            )
-        if branch_window != capture.branch_window:
-            raise SimulationError(
-                f"branch_window={branch_window} != the capture's "
-                f"{capture.branch_window}; the reservoir was sized to "
-                "the latter"
-            )
-        capture.finish()
     proxy_instructions = inst.total_instructions
     native_instructions = proxy_instructions * pixel_scale * duration_scale
 
-    if capture is not None:
-        cache_stats = capture.hierarchy.stats()
-    else:
-        if hierarchy is None:
-            hierarchy = CacheHierarchy(
-                machine.l1d, machine.l2, machine.llc,
-                sample_period=cache_sample_period,
-            )
-        _, cache_stats = simulate_encode_traffic(inst, hierarchy)
+    if hierarchy is None:
+        hierarchy = CacheHierarchy(
+            machine.l1d, machine.l2, machine.llc,
+            sample_period=cache_sample_period,
+        )
+    _, cache_stats = simulate_encode_traffic(inst, hierarchy)
     data_ki = proxy_instructions * pixel_scale / 1000.0
     cache_mpki = cache_stats.mpki(data_ki)
 
-    branch = _branch_report(result, machine, branch_window, capture=capture)
+    branch = _branch_report(result, machine, branch_window)
 
     mix = inst.counts
     core_input = CoreModelInput(

@@ -29,13 +29,11 @@ inputs:
   matches per-stream replays from the same starting state and leaves
   the predictor itself untouched, for all seven predictor
   configurations the paper and its ablations evaluate.
-- **capture-stream-parity** — streaming capture (bounded-window sinks
-  feeding the cache hierarchy and the midpoint branch reservoir while
-  events arrive) and buffered capture through the production path
-  (``simulate_encode_traffic``) both produce bit-identical cache
-  counters and contents to the whole expanded line stream, and
-  streaming matches buffered capture's midpoint trace columns,
-  predictor results, and instruction counts.
+- **capture-stream-parity** — a capture's touches cascaded through the
+  production path (``simulate_encode_traffic``, which expands them a
+  bounded group at a time) leave every cache level with the counters
+  and contents of a cascade of the whole expanded line stream, under a
+  drawn ``stream_chunk`` window.
 - **predictor-replay-determinism** — replaying one branch stream on
   two fresh instances of any predictor yields identical predictions.
 - **tage-fold-reference** — TAGE's incrementally folded history
@@ -60,7 +58,6 @@ from ..obs.context import current_obs
 from ..obs.span import trace_span
 from ..trace.branchtrace import BranchTrace
 from ..trace.instrument import Instrumenter
-from ..trace.sampling import MidpointReservoir, extract_midpoint_window
 from ..uarch.branch.base import run_trace
 from ..uarch.branch.bimodal import BimodalPredictor
 from ..uarch.branch.gshare import gshare_2kb, gshare_32kb
@@ -71,7 +68,6 @@ from ..uarch.cache import (
     Cache,
     CacheConfig,
     CacheHierarchy,
-    TouchStreamSink,
     expand_touches,
     simulate_encode_traffic,
 )
@@ -517,96 +513,40 @@ def _random_capture_events(rng: np.random.Generator) -> list[tuple]:
 
 
 def _capture_stream_parity(rng: np.random.Generator, case: int) -> list[str]:
-    """Streaming and buffered capture are bit-identical.
+    """Buffered capture simulates like the whole expanded line stream.
 
-    One synthetic workload is driven into a buffered instrumenter and
-    into a streaming one whose sinks flush at a small randomized window
-    (deliberately shorter than the predictors' history lengths, so
-    chunk boundaries land mid-history).  Cache counters and final
-    contents, from the streaming sink and from the buffered capture
-    through :func:`simulate_encode_traffic`, must match a cascade of
-    the whole expanded line stream; the case runs under a small
+    One synthetic workload is captured, and its touches go through
+    :func:`simulate_encode_traffic` and, separately, through one cascade
+    of the whole expanded line stream.  The case runs under a small
     ``stream_chunk`` window, so touch groups and cascade windows end
-    mid-stream.  The extracted midpoint trace, predictor results over
-    it, and the instruction-count vector must match too.
+    mid-stream.  Every level's counters and final contents must match.
     """
     failures: list[str] = []
     events = _random_capture_events(rng)
     sample_period = int(2 ** rng.integers(0, 3))
-    window = int(rng.integers(3, 48))
-    max_window = int(rng.integers(32, 200))
     chunk = int(rng.integers(8, 64))
 
-    buffered = Instrumenter()
-    _drive_capture(buffered, events)
-
-    streamed = Instrumenter()
-    hier_stream = _small_hierarchy(sample_period)
-    reservoir = MidpointReservoir(max_window)
-    streamed.register_touch_sink(TouchStreamSink(hier_stream), window=window)
-    streamed.register_branch_sink(reservoir, window=window)
+    captured = Instrumenter()
+    _drive_capture(captured, events)
     hier_whole = _small_hierarchy(sample_period)
     with kernels.stream_chunk(chunk):
-        _drive_capture(streamed, events)
-        streamed.flush_stream()
-        hier_whole.access_lines(expand_touches(buffered, sample_period))
+        hier_whole.access_lines(expand_touches(captured, sample_period))
         hier_buf, _ = simulate_encode_traffic(
-            buffered, _small_hierarchy(sample_period)
+            captured, _small_hierarchy(sample_period)
         )
-    for side, hier in (("buffered", hier_buf), ("streamed", hier_stream)):
-        for name in ("l1d", "l2", "llc"):
-            a, b = getattr(hier_whole, name), getattr(hier, name)
-            if (a.accesses, a.misses) != (b.accesses, b.misses):
-                failures.append(
-                    f"case {case}: {name} whole-stream "
-                    f"({a.accesses}, {a.misses}) != {side} "
-                    f"({b.accesses}, {b.misses})"
-                )
-            if a.contents() != b.contents():
-                failures.append(
-                    f"case {case}: {name} final contents diverge between "
-                    f"the whole stream and {side} capture"
-                )
-
-    if reservoir.total_events != buffered.decision_branches:
-        failures.append(
-            f"case {case}: reservoir saw {reservoir.total_events} events, "
-            f"instrumenter recorded {buffered.decision_branches}"
-        )
-    fraction = min(1.0, max_window / max(1, buffered.decision_branches))
-    expect_trace = extract_midpoint_window(buffered, fraction=fraction)
-    got_trace = reservoir.extract(
-        streamed.total_instructions, fraction=fraction
-    )
-    e_pcs, e_taken = expect_trace.columns()
-    g_pcs, g_taken = got_trace.columns()
-    if not (
-        np.array_equal(e_pcs, g_pcs) and np.array_equal(e_taken, g_taken)
-    ):
-        failures.append(
-            f"case {case}: reservoir window columns != buffered midpoint "
-            f"window (total {buffered.decision_branches}, keep {len(expect_trace)})"
-        )
-    elif expect_trace.window_instructions != got_trace.window_instructions:
-        failures.append(
-            f"case {case}: window_instructions diverge "
-            f"({expect_trace.window_instructions} != "
-            f"{got_trace.window_instructions})"
-        )
-    else:
-        for factory in (gshare_2kb, tage_8kb):
-            a = run_trace(factory(), expect_trace)
-            b = run_trace(factory(), got_trace)
-            if (a.mispredicts, a.branches) != (b.mispredicts, b.branches):
-                failures.append(
-                    f"case {case}: {a.predictor} result diverges on the "
-                    "streamed window"
-                )
-    if not np.array_equal(buffered.counts.vec, streamed.counts.vec):
-        failures.append(
-            f"case {case}: instruction-count vectors diverge between "
-            "buffered and streamed capture"
-        )
+    for name in ("l1d", "l2", "llc"):
+        a, b = getattr(hier_whole, name), getattr(hier_buf, name)
+        if (a.accesses, a.misses) != (b.accesses, b.misses):
+            failures.append(
+                f"case {case}: {name} whole-stream "
+                f"({a.accesses}, {a.misses}) != buffered "
+                f"({b.accesses}, {b.misses})"
+            )
+        if a.contents() != b.contents():
+            failures.append(
+                f"case {case}: {name} final contents diverge between "
+                "the whole stream and buffered capture"
+            )
     return failures
 
 
@@ -706,10 +646,9 @@ INVARIANTS: dict[str, tuple[str, Callable[[np.random.Generator, int], list[str]]
         _replay_batch_parity,
     ),
     "capture-stream-parity": (
-        "Streaming capture (chunked sinks + midpoint reservoir) is "
-        "bit-identical to buffered capture: cache counters and "
-        "contents (also through simulate_encode_traffic), midpoint "
-        "trace, predictor stats, instruction counts.",
+        "Buffered capture through simulate_encode_traffic leaves every "
+        "cache level with the counters and contents of the whole "
+        "expanded line stream.",
         _capture_stream_parity,
     ),
     "predictor-replay-determinism": (

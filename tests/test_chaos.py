@@ -26,8 +26,10 @@ the resilience integration tests):
   interrupted while leases were outstanding.
 """
 
+import glob
 import json
 import os
+import tempfile
 import threading
 import time
 
@@ -37,6 +39,7 @@ os.environ.setdefault("REPRO_FAST", "1")
 
 import repro.core.session as session_mod  # noqa: E402
 from repro.cache import ResultCache  # noqa: E402
+from repro.core.session import CellSpec, Session  # noqa: E402
 from repro.errors import (  # noqa: E402
     CheckpointError,
     ExperimentError,
@@ -45,10 +48,12 @@ from repro.errors import (  # noqa: E402
     WorkerCrashError,
 )
 from repro.experiments import common, run_experiment  # noqa: E402
+from repro.parallel import pool as pool_mod  # noqa: E402
 from repro.parallel import supervise  # noqa: E402
 from repro.parallel.pool import (  # noqa: E402
     ParallelConfig,
     activate_parallel,
+    execute_cells,
     resolve_supervision,
 )
 from repro.parallel.shm import SEGMENT_PREFIX, leaked_segments  # noqa: E402
@@ -222,6 +227,28 @@ class TestShmChaos:
         )
         assert len(result.tables[0].rows) == GRID_CELLS - 1
         assert self._own_segments() == []
+
+    def test_pool_start_failure_leaks_nothing(
+        self, stub_characterize, monkeypatch
+    ):
+        """A pool that cannot start still unlinks every published clip
+        and removes the sweep's heartbeat directory."""
+        monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
+        heartbeats = os.path.join(tempfile.gettempdir(), "repro-hb-*")
+        before = set(glob.glob(heartbeats))
+
+        def refuse(*args, **kwargs):
+            raise OSError("process pool refused to start")
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", refuse)
+        cells = [
+            CellSpec("svt-av1", "game1", 60, 8),
+            CellSpec("svt-av1", "desktop", 60, 8),
+        ]
+        with pytest.raises(OSError, match="refused to start"):
+            execute_cells(Session(num_frames=2), cells, workers=WORKERS)
+        assert self._own_segments() == []
+        assert set(glob.glob(heartbeats)) == before
 
     def test_aborted_sweep_still_unlinks(self, stub_characterize, tmp_path):
         plan = FaultPlan.parse("cell:svt-av1:game1:60:*@kill@times=*")

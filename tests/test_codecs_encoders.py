@@ -139,7 +139,7 @@ class TestPaperHeadlines:
         result = create_encoder("svt-av1", crf=40, preset=6).encode(small_video)
         inst = result.instrumenter
         assert inst.decision_branches > 100
-        assert len(inst.branch_events()) == inst.decision_branches
+        assert len(inst.branch_arrays()[0]) == inst.decision_branches
         assert inst.loop_summaries
 
     def test_memory_touches_recorded(self, small_video):

@@ -81,14 +81,6 @@ class TestInstrumenterIntegration:
         create_encoder("x264", crf=30, preset=8).encode(video, inst)
         assert inst.total_instructions == pytest.approx(2 * first)
 
-    def test_disabled_recording_still_counts(self):
-        inst = Instrumenter(record_branches=False, record_touches=False)
-        create_encoder("x264", crf=30, preset=8).encode(clip(), inst)
-        assert inst.total_instructions > 0
-        assert inst.decision_branches > 0
-        assert inst.branch_events() == []
-        assert inst.touches() == []
-
 
 class TestGeometry:
     def test_non_superblock_multiple_dimensions(self):

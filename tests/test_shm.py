@@ -225,6 +225,24 @@ class TestSessionVideoLru:
         session.clear()
         assert session.video("desktop") is not first
 
+    def test_encode_uses_registered_source(self):
+        """``encode`` resolves the clip as ``report`` does: a registered
+        source (another content seed) is what both measure."""
+        frames = 2
+        content = dataclasses.replace(
+            vbench.entry("game1").spec(frames), seed=7
+        )
+        session = Session(num_frames=frames)
+        session.add_video_source(
+            "game1", frames, InlineVideo.from_video(generate(content))
+        )
+        report = session.report("svt-av1", "game1", 60, 8)
+        result = session.encode("svt-av1", "game1", 60, 8)
+        assert (
+            result.instrumenter.total_instructions
+            == report.proxy_instructions
+        )
+
 
 class TestPublishFallback:
     def test_failed_publish_ships_the_registered_clip(self, monkeypatch):

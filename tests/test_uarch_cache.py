@@ -178,6 +178,13 @@ class TestExpandTouches:
     def test_empty_instrumenter(self):
         assert len(expand_touches(Instrumenter())) == 0
 
+    def test_empty_touch_stream_leaves_hierarchy_idle(self):
+        hierarchy, _ = simulate_encode_traffic(Instrumenter())
+        assert [
+            level.accesses
+            for level in (hierarchy.l1d, hierarchy.l2, hierarchy.llc)
+        ] == [0, 0, 0]
+
     def test_simulate_encode_traffic(self):
         inst = Instrumenter()
         plane = inst.register_plane(proxy_width=512, scale_h=4, scale_w=4)
