@@ -140,8 +140,6 @@ def test_telemetry_flush_overhead_under_two_percent(tmp_path, monkeypatch):
 
 def test_run_dir_slowdown_under_bound(tmp_path, monkeypatch):
     """Enabled end to end: a run dir costs <1.3x, best of 3 each way."""
-    monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     grid = (35,)
     monkeypatch.setattr(common, "sweep_crfs", lambda: grid)
     monkeypatch.setattr(fig04_crf_sweep, "sweep_crfs", lambda: grid)
@@ -176,7 +174,6 @@ def test_telemetry_disabled_writes_nothing(tmp_path, monkeypatch):
     asserted as *absence*, not as a noise-prone timing ratio.
     """
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
     grid = (60,)
     monkeypatch.setattr(common, "sweep_crfs", lambda: grid)
     monkeypatch.setattr(fig04_crf_sweep, "sweep_crfs", lambda: grid)

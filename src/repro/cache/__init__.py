@@ -17,14 +17,13 @@ from .keys import (
     machine_fingerprint,
     video_content_key,
 )
-from .store import ResultCache, default_cache_dir, default_remote_dir
+from .store import ResultCache, default_remote_dir
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CODE_SALT",
     "ResultCache",
     "cell_cache_key",
-    "default_cache_dir",
     "default_remote_dir",
     "machine_fingerprint",
     "video_content_key",

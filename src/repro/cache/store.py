@@ -39,19 +39,11 @@ from ..obs.context import record_metric
 from ..resilience.faults import fault_point
 from .keys import CACHE_SCHEMA_VERSION
 
-#: Environment override for the default cache location.
-_ENV_DIR = "REPRO_CACHE_DIR"
-
 #: Environment pointing at the read-through remote backend directory.
 _ENV_REMOTE = "REPRO_CACHE_REMOTE"
 
 #: Sentinel distinguishing "remote missed" from a stored null payload.
 _MISS = object()
-
-
-def default_cache_dir() -> str:
-    """Where caches live when no explicit path is given."""
-    return os.environ.get(_ENV_DIR) or os.path.join(".repro", "cache")
 
 
 def default_remote_dir() -> str | None:

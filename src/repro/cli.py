@@ -12,7 +12,8 @@ Each command covers one of the library's workflows:
     run's telemetry artifacts, ``--workers`` fans sweep cells over a
     process pool and ``--cache-dir`` memoises them on disk.
 ``cache``
-    Inspect (``--stats``) or empty (``--clear``) a result cache.
+    Inspect (``--stats``) or empty (``--clear``) the result cache at
+    ``--cache-dir``.
 ``trace``
     Validate a captured Chrome trace or span log, or summarise one.
 ``status``
@@ -38,10 +39,15 @@ import json
 import sys
 from typing import Sequence
 
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache
 from .codecs import encoder_names
 from .core import characterize, format_result
-from .errors import ObservabilityError, ReproError, SweepInterruptedError
+from .errors import (
+    ExperimentError,
+    ObservabilityError,
+    ReproError,
+    SweepInterruptedError,
+)
 from .experiments import experiment_ids, run_experiment
 from .obs import events as obs_events
 from .obs.export import (
@@ -50,6 +56,7 @@ from .obs.export import (
     validate_chrome_trace_file,
     validate_span_log_file,
 )
+from .parallel.pool import ParallelConfig, parse_workers
 from .profiling import format_perf_report
 from .validate import (
     DEFAULT_SEED,
@@ -74,28 +81,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _workers_arg(text: str) -> int | str:
-    """``--workers``: a positive integer or the word ``auto``.
-
-    ``0`` is rejected here, loudly: it used to be documented as "one
-    per core" by the CLI while other layers read it as serial or
-    invalid, so scripts relying on it got whichever semantics their
-    entry point happened to hit.
-    """
-    if text.strip().lower() == "auto":
-        return "auto"
+def _workers_arg(text: str) -> int:
+    """``--workers``: a positive integer or the word ``auto``, parsed
+    by the same function as every other layer's worker count."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 (got {value}; use 'auto' for one worker "
-            f"per core)"
-        )
-    return value
+        return parse_workers(text)
+    except ExperimentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,18 +153,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="collect every run artifact (ledger, span log, metrics, "
              "trace, manifest, worker telemetry, heartbeats) under "
              "DIR; 'repro status DIR' and 'repro report DIR' read it "
-             "(default: REPRO_RUN_DIR, else off)",
+             "(default: off)",
     )
     experiment.add_argument(
         "--workers", type=_workers_arg, default=None, metavar="N",
         help="run sweep cells over a pool of N worker processes "
-             "('auto' = one per core; default: REPRO_WORKERS, else "
-             "serial)",
+             "('auto' = one per core; default: serial)",
     )
     experiment.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="memoise cell results in a content-addressed cache at "
-             "PATH (default: REPRO_CACHE_DIR, else disabled)",
+             "PATH (default: disabled)",
     )
     experiment.add_argument(
         "--heartbeat-interval", type=_positive_float, default=None,
@@ -180,13 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seconds between pool-worker heartbeats; a lease missing "
              "beats past the stall deadline gets its worker killed and "
              "its cell re-dispatched (default: "
-             "REPRO_HEARTBEAT_INTERVAL, else 0.5)",
+             f"{ParallelConfig.heartbeat_interval:g})",
     )
     experiment.add_argument(
         "--max-worker-restarts", type=_nonnegative_int, default=None,
         metavar="N",
         help="pool rebuilds tolerated per sweep after worker crashes "
-             "(default: REPRO_MAX_WORKER_RESTARTS, else 12)",
+             f"(default: {ParallelConfig.max_worker_restarts})",
     )
     experiment.add_argument(
         "--validate", action="store_true",
@@ -219,13 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--workers", type=_workers_arg, default=None, metavar="N",
         help="run sweep cells over a pool of N worker processes "
-             "('auto' = one per core; default: REPRO_WORKERS, else "
-             "serial)",
+             "('auto' = one per core; default: serial)",
     )
     validate.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="serve already-computed cells from the result cache at "
-             "PATH (default: REPRO_CACHE_DIR, else disabled)",
+             "PATH (default: disabled)",
     )
     validate.add_argument(
         "--seed", type=_nonnegative_int, default=DEFAULT_SEED,
@@ -245,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or clear a result cache"
     )
     cache.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="cache root (default: REPRO_CACHE_DIR, else .repro/cache)",
+        "--cache-dir", required=True, metavar="PATH",
+        help="cache root, as given to 'repro experiment --cache-dir'",
     )
     cache.add_argument(
         "--stats", action="store_true",
@@ -357,7 +347,7 @@ def _run_cache_command(args: argparse.Namespace) -> int:
         print("error: cache requires --stats and/or --clear",
               file=sys.stderr)
         return 2
-    root = args.cache_dir or default_cache_dir()
+    root = args.cache_dir
     cache = ResultCache(root)
     try:
         if args.clear:

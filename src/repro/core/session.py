@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..codecs.base import EncodeResult
-from ..errors import QuarantinedCellError, ShmError, VideoError
-from ..obs.context import current_obs, record_metric
+from ..errors import QuarantinedCellError, VideoError
+from ..obs.context import current_obs
 from ..obs.metrics import RATE_BUCKETS
 from ..obs.span import trace_span
 from ..resilience.executor import ResilienceGuard
@@ -58,6 +58,13 @@ def _record_report_metrics(report: PerfReport) -> None:
     metrics.histogram("branch.mpki").observe(report.branch.mpki)
     for level, mpki in report.cache_mpki.items():
         metrics.histogram(f"cache.mpki.{level}").observe(mpki)
+
+
+def _video_key(name: str, frames: int) -> str:
+    """Memo key of a catalog clip: its spec's content address."""
+    from ..cache import video_content_key
+
+    return video_content_key(vbench.entry(name).spec(frames))
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,14 @@ class Session:
         (zero-copy attach) or :class:`~repro.parallel.shm.InlineVideo`
         (pickled planes); pool workers install these from the cell job
         so :meth:`video` never regenerates what the parent already
-        published.  A payload that fails to materialise falls back to
-        regeneration — delivery never decides whether a cell runs.
+        published.  The source wins over a copy of the clip this
+        session already resolved, whose memo entry is dropped.  A
+        payload that fails to materialise raises
+        :class:`~repro.errors.ShmError` from :meth:`video`, never a
+        different clip.
         """
         self._video_sources[(name, num_frames)] = payload
+        self._videos.pop(_video_key(name, num_frames), None)
 
     def video(self, name: str) -> Video:
         """The named catalog clip at this session's frame count.
@@ -162,29 +173,18 @@ class Session:
     def _clip(self, name: str, frames: int) -> Video:
         """The named catalog clip at ``frames`` frames: the memoised
         copy, else the registered source, else a fresh generation."""
-        spec = vbench.entry(name).spec(frames)
-        from ..cache import video_content_key
-
-        key = video_content_key(spec)
+        key = _video_key(name, frames)
         cached = self._videos.get(key)
         if cached is not None:
             self._videos.move_to_end(key)
             return cached
-        video: Video | None = None
         payload = self._video_sources.get((name, frames))
         if payload is not None:
             from ..parallel import shm as shm_plane
 
-            try:
-                video = shm_plane.video_from_payload(payload)
-            except ShmError:
-                # Segment gone or malformed: regenerate locally.  The
-                # counter makes a silently-degraded sweep visible in
-                # its metrics artifact.
-                record_metric("counter", "shm.attach.fallbacks")
-                video = None
-        if video is None:
-            video = generate(spec)
+            video = shm_plane.video_from_payload(payload)
+        else:
+            video = generate(vbench.entry(name).spec(frames))
         self._videos[key] = video
         while len(self._videos) > VIDEO_LRU_CAPACITY:
             self._videos.popitem(last=False)
@@ -288,9 +288,9 @@ class Session:
         """Compute a batch of cells (:class:`CellSpec` or plain
         ``(codec, video, crf, preset)`` tuples).
 
-        With an effective worker count above one (explicit argument,
-        ambient :class:`~repro.parallel.pool.ParallelConfig`, or
-        ``REPRO_WORKERS``), the grid fans out over a process pool and
+        With a worker count above one (the explicit argument, else
+        the installed :class:`~repro.parallel.pool.ParallelConfig`'s),
+        the grid fans out over a process pool and
         later :meth:`report` calls hit this session's in-memory cache;
         quarantine failures are absorbed here and re-raised by the
         corresponding :meth:`report` call, exactly where the serial
@@ -303,7 +303,8 @@ class Session:
         from ..parallel.pool import execute_cells, resolve_workers
 
         specs = [CellSpec.of(spec) for spec in specs]
-        if resolve_workers(workers) <= 1:
+        workers = resolve_workers(workers)
+        if workers <= 1:
             # Serial grouping win: generate each distinct clip once, up
             # front, so the lazy per-cell loops that follow always hit
             # the video LRU (and batch-friendly callers see all their

@@ -13,7 +13,7 @@ import os
 from ..cache import ResultCache
 from ..core.session import Session
 from ..obs.span import trace_span
-from ..parallel.pool import current_parallel, resolve_cache_dir
+from ..parallel.pool import current_parallel
 from ..resilience.executor import current_context
 from ..video import vbench
 
@@ -58,24 +58,15 @@ def make_session() -> Session:
     When :func:`repro.experiments.run_experiment` installed an
     execution context (``resume``/``max_retries``/``cell_timeout``),
     its resilience guard is attached so every sweep cell runs under
-    the retry/timeout/checkpoint policies.  Likewise an ambient
-    :class:`~repro.parallel.pool.ParallelConfig` (or the
-    ``REPRO_CACHE_DIR`` environment variable) attaches the
-    content-addressed result cache.
+    the retry/timeout/checkpoint policies.  Likewise the installed
+    :class:`~repro.parallel.pool.ParallelConfig`'s ``cache_dir``
+    attaches the content-addressed result cache.
     """
     with trace_span("make_session", fast=fast_mode()):
         context = current_context()
-        parallel = current_parallel()
-        cache_dir = resolve_cache_dir(None)
+        cache_dir = current_parallel().cache_dir
         return Session(
             num_frames=3 if fast_mode() else None,
             guard=context.guard if context is not None else None,
-            cache=(
-                ResultCache(
-                    cache_dir,
-                    salt=parallel.cache_salt if parallel is not None else "",
-                )
-                if cache_dir
-                else None
-            ),
+            cache=ResultCache(cache_dir) if cache_dir else None,
         )

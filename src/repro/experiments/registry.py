@@ -46,14 +46,7 @@ from ..obs.telemetry import (
     open_sink,
     telemetry_dir,
 )
-from ..parallel.pool import (
-    ParallelConfig,
-    activate_parallel,
-    resolve_cache_dir,
-    resolve_run_dir,
-    resolve_supervision,
-    resolve_workers,
-)
+from ..parallel.pool import activate_parallel, current_parallel
 from ..parallel.supervise import drain_guard
 from ..resilience.executor import (
     ExecutionContext,
@@ -106,15 +99,9 @@ def experiment_ids() -> list[str]:
 
 
 def default_ledger_path(experiment_id: str) -> str:
-    """Where a run checkpoints when no explicit path is given.
-
-    ``REPRO_LEDGER_DIR`` overrides the default ``.repro/ledgers``
-    directory under the current working directory.
-    """
-    base = os.environ.get(
-        "REPRO_LEDGER_DIR", os.path.join(".repro", "ledgers")
-    )
-    return os.path.join(base, f"{experiment_id}.jsonl")
+    """Where a run checkpoints when no explicit path is given:
+    ``.repro/ledgers/<id>.jsonl`` under the current working directory."""
+    return os.path.join(".repro", "ledgers", f"{experiment_id}.jsonl")
 
 
 _UNEXPECTED_KWARG = re.compile(r"unexpected keyword argument '([^']+)'")
@@ -190,7 +177,6 @@ def run_experiment(
     obs: ObsContext | None = None,
     workers: int | str | None = None,
     cache_dir: str | None = None,
-    cache_salt: str = "",
     heartbeat_interval: float | None = None,
     max_worker_restarts: int | None = None,
     validate_claims: bool = False,
@@ -231,8 +217,7 @@ def run_experiment(
         (``heartbeats/``) — the artifact contract
         ``repro status`` and ``repro report`` read (see
         OBSERVABILITY.md).  Implies checkpointing; explicit artifact
-        paths still win over the run-dir defaults.  Defaults to
-        ``REPRO_RUN_DIR``, else off.
+        paths still win over the run-dir defaults.
     obs:
         An explicit :class:`~repro.obs.ObsContext` to collect into
         (testing — e.g. with a fake clock); one is created per run
@@ -240,23 +225,16 @@ def run_experiment(
     workers:
         Sweep cells execute over a process pool of this size
         (``"auto"`` = one per core); sweep grids are merged back in
-        deterministic
-        point order, so results match a serial run.  Defaults to
-        ``REPRO_WORKERS``, else serial.
+        deterministic point order, so results match a serial run.
     cache_dir:
         Enable the content-addressed result cache rooted here (see
         :mod:`repro.cache`); cells whose key is already stored are
-        served from disk.  Defaults to ``REPRO_CACHE_DIR``, else off.
-    cache_salt:
-        Extra string folded into every cache key (a campaign id);
-        changing it orphans previous entries.
+        served from disk.
     heartbeat_interval:
         Seconds between pool-worker heartbeats; the supervisor kills a
         worker whose lease misses beats past the stall deadline.
-        Defaults to ``REPRO_HEARTBEAT_INTERVAL``, else 0.5.
     max_worker_restarts:
         Pool rebuilds tolerated per sweep before the run fails.
-        Defaults to ``REPRO_MAX_WORKER_RESTARTS``, else 12.
     validate_claims:
         Evaluate the paper claims registered for this experiment (see
         :mod:`repro.validate`) over the fresh result and record the
@@ -266,6 +244,13 @@ def run_experiment(
         Forwarded to the experiment runner (``session=``, figure
         selection, ...); unknown names raise
         :class:`~repro.errors.ExperimentError`.
+
+    ``run_dir``, ``workers``, ``cache_dir``, ``heartbeat_interval``
+    and ``max_worker_restarts`` default to the installed
+    :class:`~repro.parallel.pool.ParallelConfig`, else to its defaults
+    (no run directory, serial, no cache, 0.5 s, 12).  The run builds
+    one config from them, installs it, and records it in ``run.json``
+    and ``provenance["parallel"]``.
 
     Every run executes under an installed observability context: spans
     cover the session, each sweep cell, each retry attempt and each
@@ -281,7 +266,14 @@ def run_experiment(
             f"{', '.join(EXPERIMENTS)}"
         ) from None
 
-    run_dir = resolve_run_dir(run_dir)
+    parallel = current_parallel().override(
+        workers=workers,
+        cache_dir=cache_dir,
+        run_dir=run_dir,
+        heartbeat_interval=heartbeat_interval,
+        max_worker_restarts=max_worker_restarts,
+    )
+    run_dir = parallel.run_dir
     if run_dir is not None:
         try:
             os.makedirs(run_dir, exist_ok=True)
@@ -308,17 +300,6 @@ def run_experiment(
     if resume and ledger_path is None:
         ledger_path = default_ledger_path(experiment_id)
 
-    supervision = resolve_supervision(
-        heartbeat_interval, max_worker_restarts
-    )
-    parallel = ParallelConfig(
-        workers=workers,
-        cache_dir=cache_dir,
-        cache_salt=cache_salt,
-        heartbeat_interval=heartbeat_interval,
-        max_worker_restarts=max_worker_restarts,
-        run_dir=run_dir,
-    )
     obs_context = obs if obs is not None else ObsContext()
     manifest: dict = {}
     if run_dir is not None:
@@ -328,14 +309,14 @@ def run_experiment(
             "status": "running",
             "started_wall": time.time(),
             "pid": os.getpid(),
-            "workers": resolve_workers(workers),
+            "workers": parallel.workers,
         }
         _write_manifest(run_dir, manifest, replace=True)
         obs_context.telemetry = open_sink(
             telemetry_dir(run_dir),
             role="parent",
             obs=obs_context,
-            interval=supervision.heartbeat_interval,
+            interval=parallel.heartbeat_interval,
         )
     outcome, error_text = "complete", None
     try:
@@ -365,10 +346,10 @@ def run_experiment(
                     with activate(context):
                         result = _call_runner(experiment_id, runner, kwargs)
             result.provenance["parallel"] = {
-                "workers": resolve_workers(workers),
-                "cache_dir": resolve_cache_dir(cache_dir),
-                "heartbeat_interval": supervision.heartbeat_interval,
-                "max_worker_restarts": supervision.max_worker_restarts,
+                "workers": parallel.workers,
+                "cache_dir": parallel.cache_dir,
+                "heartbeat_interval": parallel.heartbeat_interval,
+                "max_worker_restarts": parallel.max_worker_restarts,
             }
             if run_dir is not None:
                 result.provenance["parallel"]["run_dir"] = run_dir

@@ -25,20 +25,14 @@ Every kernel that streams writes back its full post-window state (the
 ``replay-scalar-parity`` invariant's probe-stream check pins this),
 so chunked execution is bit-equal to whole-stream execution by
 construction — which the ``replay-chunk-parity`` invariant re-asserts
-directly.  The window is :func:`stream_chunk_events`, tunable via
-``REPRO_REPLAY_CHUNK`` (``0`` disables chunking) or the scoped
-:func:`stream_chunk` override.
+directly.  The window is :func:`stream_chunk_events`, which the scoped
+:func:`stream_chunk` override sets (``0`` disables chunking).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
-
-#: Environment override for the streaming window, in events per chunk
-#: (``0`` = unbounded: whole-stream kernels, the pre-PR-8 behaviour).
-CHUNK_ENV = "REPRO_REPLAY_CHUNK"
 
 #: Default streaming window.  Large enough that per-chunk kernel setup
 #: is noise (the vectorized replays sort the window once), small enough
@@ -79,57 +73,22 @@ def vectorized_kernels() -> Iterator[None]:
         _forced.pop()
 
 
-# Memoised env resolution: raw string -> validated window.  One entry
-# per distinct raw value, so the (hot) per-kernel lookup is a dict hit
-# and the structured warning for a bad value fires once, not per cell.
-_chunk_env_cache: dict[str, int] = {}
-
-
-def _resolve_chunk_env(raw: str) -> int:
-    """Validate one ``REPRO_REPLAY_CHUNK`` value, warning on garbage.
-
-    Only a non-negative integer is accepted (``0`` = unbounded, the
-    documented way to disable chunking).  Anything else — non-numeric
-    *or negative* — falls back to the default with a structured
-    warning event.  The old parser silently clamped negatives to 0,
-    which read as "disable chunking": a typo like ``-1`` quietly
-    removed the memory bound this subsystem exists to provide.
-    """
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        from .obs import events as obs_events
-
-        obs_events.warn(
-            "kernel.chunk.invalid",
-            f"{CHUNK_ENV}={raw!r} is not a non-negative integer; "
-            f"using the default window",
-            raw=raw,
-            default=DEFAULT_STREAM_CHUNK,
-        )
-        return DEFAULT_STREAM_CHUNK
-    return value
-
-
 def stream_chunk_events() -> int:
     """Streaming window in events per chunk; ``0`` means unbounded."""
-    if _forced_chunk:
-        return _forced_chunk[-1]
-    raw = os.environ.get(CHUNK_ENV, "")
-    if not raw:
-        return DEFAULT_STREAM_CHUNK
-    value = _chunk_env_cache.get(raw)
-    if value is None:
-        value = _chunk_env_cache[raw] = _resolve_chunk_env(raw)
-    return value
+    return _forced_chunk[-1] if _forced_chunk else DEFAULT_STREAM_CHUNK
 
 
 @contextmanager
 def stream_chunk(events: int) -> Iterator[None]:
-    """Scoped streaming-window override (``0`` disables chunking)."""
-    _forced_chunk.append(max(int(events), 0))
+    """Scoped streaming-window override (``0`` disables chunking).
+
+    A negative window raises ``ValueError``: read as unbounded, a typo
+    such as ``-1`` would quietly remove the memory bound.
+    """
+    events = int(events)
+    if events < 0:
+        raise ValueError(f"streaming window must be >= 0, got {events}")
+    _forced_chunk.append(events)
     try:
         yield
     finally:

@@ -20,8 +20,6 @@ from .pool import (
     activate_parallel,
     current_parallel,
     execute_cells,
-    resolve_cache_dir,
-    resolve_supervision,
     resolve_workers,
 )
 from .shm import (
@@ -41,7 +39,6 @@ from .scaling import (
 from .supervise import (
     HeartbeatWriter,
     Lease,
-    SupervisionConfig,
     drain_guard,
     drain_requested,
     last_beat,
@@ -61,7 +58,6 @@ __all__ = [
     "ScalingCurve",
     "ScalingPoint",
     "ScheduleResult",
-    "SupervisionConfig",
     "Task",
     "TaskGraph",
     "activate_parallel",
@@ -79,8 +75,6 @@ __all__ = [
     "leaked_segments",
     "publish_video",
     "request_drain",
-    "resolve_cache_dir",
-    "resolve_supervision",
     "resolve_workers",
     "thread_scaling",
     "topdown_with_threads",

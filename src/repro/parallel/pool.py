@@ -43,6 +43,7 @@ through :class:`~repro.errors.SweepInterruptedError`.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import pickle
 import shutil
@@ -57,7 +58,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Iterable, Iterator
 
@@ -92,60 +93,107 @@ from ..resilience.executor import (
 from ..resilience.ledger import OK, QUARANTINED
 from .shm import InlineVideo, ShmDataPlane
 from .supervise import (
+    HEARTBEAT_MISSES,
+    MAX_CELL_CRASHES,
     HeartbeatWriter,
     Lease,
-    SupervisionConfig,
     drain_guard,
     drain_requested,
 )
 
-#: Environment override for the default worker count (0 = all cores).
-_ENV_WORKERS = "REPRO_WORKERS"
-#: Environment overrides for the supervisor's knobs.
-_ENV_HEARTBEAT = "REPRO_HEARTBEAT_INTERVAL"
-_ENV_RESTARTS = "REPRO_MAX_WORKER_RESTARTS"
-_ENV_MISSES = "REPRO_HEARTBEAT_MISSES"
-_ENV_CRASHES = "REPRO_MAX_CELL_CRASHES"
 #: How long a broken pool's exited workers get to report a status.
 _EXIT_SETTLE_SECONDS = 1.0
+
+#: The one spelling of "one worker per core" at every layer.
+WORKERS_AUTO = "auto"
+
+
+def parse_workers(workers: int | str) -> int:
+    """A worker count: a positive integer, or ``"auto"`` for one per core.
+
+    Strings are parsed too (the CLI's ``--workers``).  ``0`` is an
+    error everywhere: it used to read as "auto", "serial" or "invalid"
+    depending on the layer.
+    """
+    if isinstance(workers, str):
+        text = workers.strip().lower()
+        if text == WORKERS_AUTO:
+            return os.cpu_count() or 1
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ExperimentError(
+                f"worker count {workers!r} is not an integer or 'auto'"
+            ) from None
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, numbers.Integral)
+        or workers < 1
+    ):
+        raise ExperimentError(
+            f"worker count must be >= 1, got {workers!r} "
+            f"(use 'auto' for one worker per core)"
+        )
+    return int(workers)
 
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """One experiment run's parallelism/caching knobs.
+    """One run's scheduling settings, validated when built.
 
-    Installed by ``run_experiment`` via :func:`activate_parallel`, read
-    by :func:`resolve_workers`/:func:`resolve_cache_dir` so the knobs
-    reach every sweep without threading arguments through each
-    experiment module (the same ambient-context pattern as the
-    resilience and observability contexts).
+    None of them changes a cell's result, only where and how cells
+    run.  ``run_experiment`` and ``validate`` build one from their own
+    arguments over the installed config (:meth:`override`) and install
+    it with :func:`activate_parallel`; sessions, the pool and its
+    supervisor read its attributes, so the run manifest, provenance,
+    telemetry and the pool all see the same values.
     """
 
-    workers: int | str | None = None  # None -> env -> 1; "auto" -> cores
-    cache_dir: str | None = None     # None -> env -> no cache
-    cache_salt: str = ""
-    #: Supervision knobs; ``None`` falls through env to the defaults.
-    heartbeat_interval: float | None = None
-    max_worker_restarts: int | None = None
+    #: Pool size; ``"auto"`` is accepted and stored as the core count.
+    workers: int = 1
+    #: Result-cache root (``None`` = no cache).
+    cache_dir: str | None = None
     #: Run directory: when set, heartbeat sidecars move from a
     #: tempdir to ``<run-dir>/heartbeats/`` (and survive the run for
     #: ``repro status``) and every worker streams telemetry samples
     #: into ``<run-dir>/telemetry/``.
     run_dir: str | None = None
+    #: Seconds between worker heartbeats (also the supervisor's
+    #: polling granularity).
+    heartbeat_interval: float = 0.5
+    #: Pool rebuilds allowed per sweep before giving up.
+    max_worker_restarts: int = 12
 
     def __post_init__(self) -> None:
         # Reject nonsense at construction, not deep inside a sweep.
-        # (The historical "0 means one per core" special case parsed
-        # differently at every layer; 0 is now an error everywhere and
-        # "auto" is the one spelling of one-worker-per-core.)
-        _check_workers(self.workers)
+        object.__setattr__(self, "workers", parse_workers(self.workers))
+        if not self.heartbeat_interval > 0:
+            raise ExperimentError("heartbeat interval must be positive")
+        if self.max_worker_restarts < 0:
+            raise ExperimentError("max worker restarts must be >= 0")
+
+    def override(self, **settings: Any) -> "ParallelConfig":
+        """This config with every setting that is not ``None`` replaced."""
+        given = {k: v for k, v in settings.items() if v is not None}
+        return replace(self, **given) if given else self
+
+    @property
+    def stall_deadline(self) -> float:
+        """Seconds without a beat before a lease counts as stalled."""
+        return self.heartbeat_interval * HEARTBEAT_MISSES
+
+    @property
+    def poll_interval(self) -> float:
+        """How long the supervisor blocks per tick."""
+        return min(0.25, max(0.02, self.heartbeat_interval / 2))
 
 
-_current: ParallelConfig | None = None
+_current = ParallelConfig()
 
 
-def current_parallel() -> ParallelConfig | None:
-    """The config installed by the innermost :func:`activate_parallel`."""
+def current_parallel() -> ParallelConfig:
+    """The config installed by the innermost :func:`activate_parallel`,
+    else the defaults (serial, no cache, no run directory)."""
     return _current
 
 
@@ -161,134 +209,9 @@ def activate_parallel(config: ParallelConfig) -> Iterator[ParallelConfig]:
         _current = previous
 
 
-#: The one spelling of "one worker per core" at every layer.
-WORKERS_AUTO = "auto"
-
-
-def _check_workers(workers: int | str | None) -> int | str | None:
-    """Validate a worker-count setting without resolving it.
-
-    Accepts ``None`` (inherit), ``"auto"`` (one per core) or a
-    positive integer; everything else — including the historical
-    ``0``, which different layers used to read as "auto", "serial" or
-    "invalid" depending on the code path — raises up front.
-    """
-    if workers is None:
-        return None
-    if isinstance(workers, str):
-        if workers.strip().lower() == WORKERS_AUTO:
-            return WORKERS_AUTO
-        raise ExperimentError(
-            f"worker count {workers!r} is not an integer or 'auto'"
-        )
-    if isinstance(workers, bool) or workers < 1:
-        raise ExperimentError(
-            f"worker count must be >= 1, got {workers!r} "
-            f"(use 'auto' for one worker per core)"
-        )
-    return workers
-
-
 def resolve_workers(workers: int | str | None = None) -> int:
-    """Effective worker count: explicit > ambient > env > 1.
-
-    ``"auto"`` anywhere in the chain means "one worker per core";
-    ``0`` is an error everywhere (it used to silently mean auto here
-    while the CLI documented it and ``ParallelConfig`` ignored it —
-    three layers, three semantics).
-    """
-    if workers is None and _current is not None:
-        workers = _current.workers
-    if workers is None:
-        raw = os.environ.get(_ENV_WORKERS, "")
-        if raw:
-            if raw.strip().lower() == WORKERS_AUTO:
-                workers = WORKERS_AUTO
-            else:
-                try:
-                    workers = int(raw)
-                except ValueError:
-                    raise ExperimentError(
-                        f"{_ENV_WORKERS}={raw!r} is not an integer or "
-                        f"'auto'"
-                    ) from None
-    if workers is None:
-        return 1
-    workers = _check_workers(workers)
-    if workers == WORKERS_AUTO:
-        return os.cpu_count() or 1
-    return workers
-
-
-def _env_number(name: str, parse, kind: str):
-    raw = os.environ.get(name, "")
-    if not raw:
-        return None
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ExperimentError(f"{name}={raw!r} is not {kind}") from None
-
-
-def resolve_supervision(
-    heartbeat_interval: float | None = None,
-    max_worker_restarts: int | None = None,
-) -> SupervisionConfig:
-    """Effective supervisor knobs: explicit > ambient > env > defaults.
-
-    ``REPRO_HEARTBEAT_INTERVAL`` / ``REPRO_MAX_WORKER_RESTARTS`` mirror
-    the CLI flags; ``REPRO_HEARTBEAT_MISSES`` and
-    ``REPRO_MAX_CELL_CRASHES`` are env-only (they tune the stall
-    deadline and the poison threshold, which almost never need
-    per-run adjustment).
-    """
-    if heartbeat_interval is None and _current is not None:
-        heartbeat_interval = _current.heartbeat_interval
-    if heartbeat_interval is None:
-        heartbeat_interval = _env_number(_ENV_HEARTBEAT, float, "a number")
-    if max_worker_restarts is None and _current is not None:
-        max_worker_restarts = _current.max_worker_restarts
-    if max_worker_restarts is None:
-        max_worker_restarts = _env_number(_ENV_RESTARTS, int, "an integer")
-    misses = _env_number(_ENV_MISSES, int, "an integer")
-    crashes = _env_number(_ENV_CRASHES, int, "an integer")
-    defaults = SupervisionConfig()
-    return SupervisionConfig(
-        heartbeat_interval=(
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else defaults.heartbeat_interval
-        ),
-        heartbeat_misses=(
-            misses if misses is not None else defaults.heartbeat_misses
-        ),
-        max_worker_restarts=(
-            max_worker_restarts
-            if max_worker_restarts is not None
-            else defaults.max_worker_restarts
-        ),
-        max_cell_crashes=(
-            crashes if crashes is not None else defaults.max_cell_crashes
-        ),
-    )
-
-
-def resolve_cache_dir(cache_dir: str | None = None) -> str | None:
-    """Effective cache directory: explicit > ambient > env > disabled."""
-    if cache_dir is None and _current is not None:
-        cache_dir = _current.cache_dir
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    return cache_dir
-
-
-def resolve_run_dir(run_dir: str | None = None) -> str | None:
-    """Effective run directory: explicit > ambient > env > disabled."""
-    if run_dir is None and _current is not None:
-        run_dir = _current.run_dir
-    if run_dir is None:
-        run_dir = os.environ.get("REPRO_RUN_DIR") or None
-    return run_dir
+    """An explicit worker count, else the installed config's."""
+    return _current.workers if workers is None else parse_workers(workers)
 
 
 def run_spec(session: Session, spec: CellSpec) -> Any:
@@ -315,9 +238,9 @@ class _CellJob:
     experiment_id: str
     cache_dir: str | None
     cache_salt: str
+    heartbeat_interval: float
     #: Heartbeat sidecar file for this dispatch (``None`` = no beats).
     hb_path: str | None = None
-    heartbeat_interval: float = 0.5
     #: Worker crashes this cell already caused; primes crash-kind
     #: fault counters so an injected kill is not re-fired forever.
     prior_crashes: int = 0
@@ -647,7 +570,7 @@ class _Supervisor:
         self,
         session: Session,
         pending: dict[RunKey, tuple[int, CellSpec]],
-        config: SupervisionConfig,
+        config: ParallelConfig,
         worker_count: int,
     ) -> None:
         self.session = session
@@ -667,9 +590,8 @@ class _Supervisor:
         # else a tempdir removed on close.  One fresh subdirectory per
         # sweep either way — an experiment may run several sweeps and
         # their dispatch sequence numbers would otherwise collide.
-        run_dir = resolve_run_dir()
-        if run_dir is not None:
-            parent = heartbeat_dir(run_dir)
+        if config.run_dir is not None:
+            parent = heartbeat_dir(config.run_dir)
             os.makedirs(parent, exist_ok=True)
             self.hb_dir = tempfile.mkdtemp(prefix="sweep-", dir=parent)
             self.hb_persistent = True
@@ -802,7 +724,7 @@ class _Supervisor:
                 record_metric("counter", "pool.leases.lost")
             if (
                 lease.seq in blamed
-                and count > self.config.max_cell_crashes
+                and count > MAX_CELL_CRASHES
             ):
                 self._poison(lease, count, reason)
             else:
@@ -863,7 +785,7 @@ class _Supervisor:
 
 
 def _execute_pooled(
-    session: Session, specs: list[CellSpec], workers: int
+    session: Session, specs: list[CellSpec], config: ParallelConfig
 ) -> list[Any | None]:
     """Fan uncomputed cells over a supervised process pool."""
     parent_wall = time.time()
@@ -895,7 +817,7 @@ def _execute_pooled(
             _run_supervised(
                 session,
                 pending,
-                workers,
+                config,
                 parent_wall=parent_wall,
                 parent_mono=parent_mono,
             )
@@ -919,21 +841,20 @@ def _execute_pooled(
 def _run_supervised(
     session: Session,
     pending: dict[RunKey, tuple[int, CellSpec]],
-    workers: int,
+    config: ParallelConfig,
     *,
     parent_wall: float,
     parent_mono: float,
 ) -> None:
-    """The supervised dispatch loop: at most ``workers`` cells in
-    flight, heartbeat checks every tick, pool rebuilds on breakage."""
+    """The supervised dispatch loop: at most ``config.workers`` cells
+    in flight, heartbeat checks every tick, pool rebuilds on breakage."""
     guard = session.guard
     policy = _worker_policy(guard)
     cache_dir = session.cache.root if session.cache is not None else None
     cache_salt = session.cache.salt if session.cache is not None else ""
     experiment_id = guard.experiment_id if guard is not None else ""
-    worker_count = min(workers, len(pending))
-    config = resolve_supervision()
-    run_dir = resolve_run_dir()
+    worker_count = min(config.workers, len(pending))
+    run_dir = config.run_dir
     stream_dir = telemetry_dir(run_dir) if run_dir is not None else None
     obs = current_obs()
     parent_sink = getattr(obs, "telemetry", None)
@@ -974,8 +895,8 @@ def _run_supervised(
             experiment_id=experiment_id,
             cache_dir=cache_dir,
             cache_salt=cache_salt,
-            hb_path=hb_path,
             heartbeat_interval=config.heartbeat_interval,
+            hb_path=hb_path,
             prior_crashes=prior,
             telemetry_dir=stream_dir,
             video_payload=payloads.get(spec.video),
@@ -1101,7 +1022,7 @@ def _run_supervised(
         poisoned=sum(
             1
             for count in supervisor.crashes.values()
-            if count > config.max_cell_crashes
+            if count > MAX_CELL_CRASHES
         ),
     )
 
@@ -1109,18 +1030,20 @@ def _run_supervised(
 def execute_cells(
     session: Session,
     specs: Iterable[CellSpec | tuple],
-    workers: int | None = None,
+    workers: int | str | None = None,
 ) -> list[Any | None]:
     """Execute a batch of grid points serially or over a process pool.
 
-    Returns one entry per input spec, in input order: the cell's
+    Runs under the installed :class:`ParallelConfig`, with ``workers``
+    (when given) in place of its worker count.  Returns one entry per
+    input spec, in input order: the cell's
     :class:`~repro.uarch.perfcounters.PerfReport`, or ``None`` where
     the cell was quarantined (callers drop those points, exactly as
     :func:`~repro.core.sweeps.sweep_cells` does).
     """
     normalised = [CellSpec.of(spec) for spec in specs]
-    count = resolve_workers(workers)
+    config = _current.override(workers=workers)
     with drain_guard():
-        if count <= 1 or len(normalised) <= 1:
+        if config.workers <= 1 or len(normalised) <= 1:
             return _execute_serial(session, normalised)
-        return _execute_pooled(session, normalised, count)
+        return _execute_pooled(session, normalised, config)

@@ -32,9 +32,10 @@ Delivery policy: every clip is published to shared memory.  Where a
 publish fails (``/dev/shm`` full, platform without POSIX shm) that
 clip's planes ship inline in each cell job as an :class:`InlineVideo`
 instead, so workers always encode exactly the frames the parent
-resolved.  An attach failure inside a worker regenerates the clip by
-name.  Every fallback is a counter, never an error: the data plane
-changes how fast bytes move, never whether a cell runs.
+resolved.  An attach failure inside a worker raises
+:class:`~repro.errors.ShmError` and fails that cell (a guard
+quarantines it): regenerating the clip by name would encode other
+frames wherever the parent shipped a registered video.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def attach_video(handle: ShmVideoHandle) -> Video:
     buffer; the :class:`~multiprocessing.shared_memory.SharedMemory`
     object rides on the video (``video.shm``) so the mapping outlives
     every view.  Raises :class:`~repro.errors.ShmError` when the
-    segment is gone or malformed — callers regenerate instead.
+    segment is gone or malformed.
     """
     try:
         shm = shared_memory.SharedMemory(name=handle.segment)

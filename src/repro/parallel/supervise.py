@@ -42,48 +42,15 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..core.session import CellSpec, RunKey
-from ..errors import ExperimentError
 from ..obs import events as obs_events
 
-#: Missed-beat factor: a lease is stalled after ``interval * misses``
-#: seconds without a beat.  Generous by default — a false stall kill
-#: costs a worker restart; a missed hang merely costs latency.
-DEFAULT_HEARTBEAT_MISSES = 20
+#: Missed-beat factor: a lease is stalled after ``heartbeat_interval *
+#: HEARTBEAT_MISSES`` seconds without a beat.  Generous — a false stall
+#: kill costs a worker restart; a missed hang merely costs latency.
+HEARTBEAT_MISSES = 20
 
-
-@dataclass(frozen=True)
-class SupervisionConfig:
-    """The supervisor's knobs, resolved once per pooled sweep."""
-
-    #: Seconds between worker heartbeats (also the supervisor's
-    #: polling granularity).
-    heartbeat_interval: float = 0.5
-    #: Beats a lease may miss before it is declared stalled.
-    heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES
-    #: Pool rebuilds allowed per sweep before giving up.
-    max_worker_restarts: int = 12
-    #: Worker crashes one cell may cause before it is poison.
-    max_cell_crashes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ExperimentError("heartbeat interval must be positive")
-        if self.heartbeat_misses < 1:
-            raise ExperimentError("heartbeat miss budget must be >= 1")
-        if self.max_worker_restarts < 0:
-            raise ExperimentError("max worker restarts must be >= 0")
-        if self.max_cell_crashes < 0:
-            raise ExperimentError("max cell crashes must be >= 0")
-
-    @property
-    def stall_deadline(self) -> float:
-        """Seconds without a beat before a lease counts as stalled."""
-        return self.heartbeat_interval * self.heartbeat_misses
-
-    @property
-    def poll_interval(self) -> float:
-        """How long the supervisor blocks per tick."""
-        return min(0.25, max(0.02, self.heartbeat_interval / 2))
+#: Worker crashes one cell may cause before it is poison.
+MAX_CELL_CRASHES = 2
 
 
 # -- heartbeats ------------------------------------------------------

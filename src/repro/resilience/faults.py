@@ -247,8 +247,7 @@ def active_plan() -> FaultPlan | None:
     global _active
     if _active is _UNSET:
         spec = os.environ.get(_ENV_VAR, "")
-        seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        _active = FaultPlan.parse(spec, seed=seed) if spec else None
+        _active = FaultPlan.parse(spec) if spec else None
     return _active  # type: ignore[return-value]
 
 

@@ -29,12 +29,7 @@ from ..errors import ObservabilityError, ValidationError
 from ..experiments.common import fast_mode, make_session
 from ..experiments.registry import run_experiment
 from ..obs.context import ObsContext, activate_obs
-from ..parallel.pool import (
-    ParallelConfig,
-    activate_parallel,
-    resolve_cache_dir,
-    resolve_workers,
-)
+from ..parallel.pool import activate_parallel, current_parallel
 from .claims import (
     CLAIMS_SCHEMA_VERSION,
     ClaimVerdict,
@@ -155,7 +150,6 @@ def validate(
     *,
     workers: int | str | None = None,
     cache_dir: str | None = None,
-    cache_salt: str = "",
     seed: int = DEFAULT_SEED,
     invariant_cases: int = 25,
     with_invariants: bool = True,
@@ -168,10 +162,13 @@ def validate(
     experiment_ids:
         Restrict validation to these experiments' claims (default:
         every experiment with registered claims).
-    workers / cache_dir / cache_salt:
-        Forwarded to :func:`~repro.experiments.run_experiment`; the
-        shared session additionally attaches the result cache so
-        repeated validations are warm.
+    workers / cache_dir:
+        Override the installed
+        :class:`~repro.parallel.pool.ParallelConfig`; the resulting
+        config is installed once around the shared session and every
+        :func:`~repro.experiments.run_experiment`, so all of them
+        attach the same result cache and repeated validations are
+        warm.
     seed / invariant_cases / with_invariants:
         Root seed and per-invariant case count for the randomized
         invariant harness; ``with_invariants=False`` checks claims
@@ -192,41 +189,32 @@ def validate(
             )
 
     obs_context = obs if obs is not None else ObsContext()
-    parallel = ParallelConfig(
-        workers=workers, cache_dir=cache_dir, cache_salt=cache_salt
+    parallel = current_parallel().override(
+        workers=workers, cache_dir=cache_dir
     )
     report = ValidationReport(
         config={
             "experiments": list(experiment_ids),
             "fast_mode": fast_mode(),
-            "workers": resolve_workers(workers),
-            "cache_dir": resolve_cache_dir(cache_dir),
+            "workers": parallel.workers,
+            "cache_dir": parallel.cache_dir,
             "seed": seed,
             "invariant_cases": invariant_cases if with_invariants else 0,
         }
     )
-    # The shared session is created under the ambient parallel config
-    # so it attaches the same result cache the per-experiment runs use.
     with activate_parallel(parallel):
         session = make_session()
-    for experiment_id in experiment_ids:
-        kwargs: dict[str, Any] = {}
-        if experiment_id in SESSION_EXPERIMENTS:
-            kwargs["session"] = session
-        result = run_experiment(
-            experiment_id,
-            workers=workers,
-            cache_dir=cache_dir,
-            cache_salt=cache_salt,
-            obs=obs_context,
-            **kwargs,
-        )
-        with activate_obs(obs_context):
-            verdicts = evaluate_result_claims(
-                result, claims_for(experiment_id)
-            )
-        report.claims.extend(verdicts)
-        report.experiments[experiment_id] = _experiment_summary(result)
+        for experiment_id in experiment_ids:
+            kwargs: dict[str, Any] = {}
+            if experiment_id in SESSION_EXPERIMENTS:
+                kwargs["session"] = session
+            result = run_experiment(experiment_id, obs=obs_context, **kwargs)
+            with activate_obs(obs_context):
+                verdicts = evaluate_result_claims(
+                    result, claims_for(experiment_id)
+                )
+            report.claims.extend(verdicts)
+            report.experiments[experiment_id] = _experiment_summary(result)
     if with_invariants:
         with activate_obs(obs_context):
             report.invariants = run_invariants(

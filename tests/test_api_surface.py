@@ -150,3 +150,20 @@ def test_benchmark_trace_targets_resolve():
     assert not missing, "trace targets that do not resolve: " + ", ".join(
         missing
     )
+
+
+def test_environment_surface_matches_readme():
+    """The ``REPRO_*`` variables ``src/`` reads are exactly the rows of
+    the README's Environment table, so a new knob needs a doc row."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (root / "src").rglob("*.py"):
+        read.update(
+            re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8"))
+        )
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Environment\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(
+        re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.MULTILINE)
+    )
+    assert read == documented

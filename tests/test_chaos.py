@@ -53,14 +53,14 @@ from repro.parallel import supervise  # noqa: E402
 from repro.parallel.pool import (  # noqa: E402
     ParallelConfig,
     activate_parallel,
+    current_parallel,
     execute_cells,
-    resolve_supervision,
 )
 from repro.parallel.shm import SEGMENT_PREFIX, leaked_segments  # noqa: E402
 from repro.parallel.supervise import (  # noqa: E402
+    HEARTBEAT_MISSES,
     HeartbeatWriter,
     Lease,
-    SupervisionConfig,
     drain_guard,
     drain_requested,
     last_beat,
@@ -150,10 +150,8 @@ class TestChaosParity:
         assert _supervision(pooled)["worker_restarts"] >= 2
         assert RunLedger(ledger).unresolved_leases() == []
 
-    def test_hang_past_heartbeat_deadline(
-        self, stub_characterize, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_HEARTBEAT_MISSES", "5")
+    def test_hang_past_heartbeat_deadline(self, stub_characterize, tmp_path):
+        # 20 missed beats at FAST_HB's 0.05 s interval: a 1 s deadline.
         serial = run_experiment("fig04", workers=1)
         plan = FaultPlan.parse("cell:svt-av1:game1:60:*@hang@times=1")
         ledger = str(tmp_path / "hang.jsonl")
@@ -233,7 +231,6 @@ class TestShmChaos:
     ):
         """A pool that cannot start still unlinks every published clip
         and removes the sweep's heartbeat directory."""
-        monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
         heartbeats = os.path.join(tempfile.gettempdir(), "repro-hb-*")
         before = set(glob.glob(heartbeats))
 
@@ -373,32 +370,29 @@ class TestHeartbeatPrimitives:
 
     def test_supervision_config_validates(self):
         with pytest.raises(ExperimentError):
-            SupervisionConfig(heartbeat_interval=0)
+            ParallelConfig(heartbeat_interval=0)
         with pytest.raises(ExperimentError):
-            SupervisionConfig(max_worker_restarts=-1)
-        config = SupervisionConfig(heartbeat_interval=0.5,
-                                   heartbeat_misses=20)
+            ParallelConfig(max_worker_restarts=-1)
+        config = ParallelConfig(heartbeat_interval=0.5)
+        assert HEARTBEAT_MISSES == 20
         assert config.stall_deadline == pytest.approx(10.0)
         assert config.poll_interval <= 0.25
 
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "2.0")
-        monkeypatch.setenv("REPRO_MAX_WORKER_RESTARTS", "3")
-        assert resolve_supervision().heartbeat_interval == 2.0
-        assert resolve_supervision().max_worker_restarts == 3
+    def test_resolution_order(self):
+        defaults = current_parallel()
+        assert (defaults.heartbeat_interval, defaults.max_worker_restarts) == (
+            0.5, 12
+        )
         ambient = ParallelConfig(heartbeat_interval=1.0,
                                  max_worker_restarts=7)
         with activate_parallel(ambient):
-            assert resolve_supervision().heartbeat_interval == 1.0
-            assert resolve_supervision().max_worker_restarts == 7
-            explicit = resolve_supervision(0.25, 1)
+            assert current_parallel().heartbeat_interval == 1.0
+            assert current_parallel().max_worker_restarts == 7
+            explicit = current_parallel().override(
+                heartbeat_interval=0.25, max_worker_restarts=1
+            )
             assert explicit.heartbeat_interval == 0.25
             assert explicit.max_worker_restarts == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "soon")
-        with pytest.raises(ExperimentError, match="REPRO_HEARTBEAT_INTERVAL"):
-            resolve_supervision()
 
 
 class TestTornLedger:

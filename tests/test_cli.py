@@ -112,3 +112,18 @@ class TestWorkersArgument:
 
     def test_auto_accepted(self, capsys):
         assert main(["experiment", "table1", "--workers", "auto"]) == 0
+
+
+class TestCacheCommand:
+    def test_cache_dir_is_required(self, capsys):
+        # No run writes a cache unless told where, so there is no
+        # default location to inspect.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--stats"])
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+    def test_stats_of_an_empty_cache(self, capsys, tmp_path):
+        root = str(tmp_path / "cache")
+        assert main(["cache", "--cache-dir", root, "--stats"]) == 0
+        assert "0 entries, 0 bytes" in capsys.readouterr().out

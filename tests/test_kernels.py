@@ -163,47 +163,23 @@ class TestEncoderBatchingEquivalence:
 
 
 class TestStreamChunkEnv:
-    """REPRO_REPLAY_CHUNK parsing: validate once, never crash a sweep."""
+    """The streaming window: its default and the scoped override, the
+    only way to set it."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_chunk_env_cache", {})
-
-    def test_unset_and_valid_values(self, monkeypatch):
-        monkeypatch.delenv(kernels.CHUNK_ENV, raising=False)
+    def test_unset_and_valid_values(self):
         assert kernels.stream_chunk_events() == kernels.DEFAULT_STREAM_CHUNK
-        monkeypatch.setenv(kernels.CHUNK_ENV, "4096")
-        assert kernels.stream_chunk_events() == 4096
-        # 0 stays the documented "disable chunking" spelling.
-        monkeypatch.setenv(kernels.CHUNK_ENV, "0")
-        assert kernels.stream_chunk_events() == 0
-
-    def test_garbage_falls_back_and_warns_once(self, monkeypatch):
-        from repro.obs import events as events_mod
-
-        log = events_mod.EventLog()
-        previous = events_mod.install_log(log)
-        try:
-            monkeypatch.setenv(kernels.CHUNK_ENV, "banana")
-            for _ in range(3):
-                assert (
-                    kernels.stream_chunk_events()
-                    == kernels.DEFAULT_STREAM_CHUNK
-                )
-        finally:
-            events_mod.install_log(previous)
-        # Memoised per raw value: one warning, not one per kernel call.
-        warnings = log.by_kind("kernel.chunk.invalid")
-        assert len(warnings) == 1
-        assert warnings[0].fields["raw"] == "banana"
-
-    def test_negative_no_longer_means_unbounded(self, monkeypatch):
-        # The old parser clamped -1 to 0 == "disable chunking": a typo
-        # silently removed the memory bound. Now it's default + warning.
-        monkeypatch.setenv(kernels.CHUNK_ENV, "-1")
+        with kernels.stream_chunk(4096):
+            assert kernels.stream_chunk_events() == 4096
+            # 0 stays the documented "disable chunking" spelling.
+            with kernels.stream_chunk(0):
+                assert kernels.stream_chunk_events() == 0
+            assert kernels.stream_chunk_events() == 4096
         assert kernels.stream_chunk_events() == kernels.DEFAULT_STREAM_CHUNK
 
-    def test_scoped_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.CHUNK_ENV, "banana")
-        with kernels.stream_chunk(64):
-            assert kernels.stream_chunk_events() == 64
+    def test_negative_no_longer_means_unbounded(self):
+        # Clamping -1 to 0 read as "disable chunking": a typo silently
+        # removed the memory bound.  A negative window is an error.
+        with pytest.raises(ValueError, match=">= 0"):
+            with kernels.stream_chunk(-1):
+                pass
+        assert kernels.stream_chunk_events() == kernels.DEFAULT_STREAM_CHUNK

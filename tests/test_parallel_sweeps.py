@@ -8,6 +8,7 @@ provenance must match, and worker telemetry must land re-parented in
 the parent's collectors.
 """
 
+import json
 import os
 import tracemalloc
 
@@ -30,8 +31,8 @@ from repro.obs.span import Tracer  # noqa: E402
 from repro.parallel.pool import (  # noqa: E402
     ParallelConfig,
     activate_parallel,
+    current_parallel,
     execute_cells,
-    resolve_cache_dir,
     resolve_workers,
 )
 from repro.resilience import FaultPlan, RunLedger  # noqa: E402
@@ -100,37 +101,79 @@ class TestWorkerResolution:
         with pytest.raises(ExperimentError, match=">= 1"):
             resolve_workers(-1)
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers() == 5
-
-    def test_env_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        assert resolve_workers() == (os.cpu_count() or 1)
-
-    def test_env_zero_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ExperimentError, match=">= 1"):
-            resolve_workers()
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ExperimentError, match="REPRO_WORKERS"):
-            resolve_workers()
-
-    def test_ambient_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
+    def test_ambient_config_beats_env(self):
         with activate_parallel(ParallelConfig(workers=2)):
             assert resolve_workers() == 2
             assert resolve_workers(7) == 7  # explicit still wins
 
-    def test_cache_dir_resolution_order(self, monkeypatch):
-        assert resolve_cache_dir() is None
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/env-cache")
-        assert resolve_cache_dir() == "/tmp/env-cache"
+    def test_cache_dir_resolution_order(self):
+        assert current_parallel().cache_dir is None
         with activate_parallel(ParallelConfig(cache_dir="/tmp/ambient")):
-            assert resolve_cache_dir() == "/tmp/ambient"
-            assert resolve_cache_dir("/tmp/explicit") == "/tmp/explicit"
+            assert current_parallel().cache_dir == "/tmp/ambient"
+            explicit = current_parallel().override(cache_dir="/tmp/explicit")
+            assert explicit.cache_dir == "/tmp/explicit"
+        assert current_parallel().cache_dir is None
+
+    def test_config_holds_concrete_values(self):
+        assert ParallelConfig(workers="auto").workers == (os.cpu_count() or 1)
+        assert ParallelConfig(workers=" 3 ").workers == 3
+        with pytest.raises(ExperimentError, match="'auto'"):
+            ParallelConfig(workers="many")
+        with pytest.raises(ExperimentError, match="heartbeat"):
+            ParallelConfig(heartbeat_interval=0)
+        with pytest.raises(ExperimentError, match="restarts"):
+            ParallelConfig(max_worker_restarts=-1)
+
+    def test_override_keeps_unset_settings(self):
+        base = ParallelConfig(workers=2, run_dir="/tmp/run")
+        assert base.override() is base
+        assert base.override(workers=None, cache_dir=None) is base
+        derived = base.override(cache_dir="/tmp/cache")
+        assert (derived.workers, derived.run_dir, derived.cache_dir) == (
+            2, "/tmp/run", "/tmp/cache"
+        )
+
+
+class TestOneRunConfig:
+    """``run_experiment`` builds one config over the installed one, and
+    the manifest, provenance and the pool all read that object."""
+
+    def test_run_inherits_the_installed_config(
+        self, stub_characterize, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        obs = ObsContext()
+        outer = ParallelConfig(workers=2, heartbeat_interval=0.05)
+        with activate_parallel(outer):
+            result = run_experiment("fig04", run_dir=str(run_dir), obs=obs)
+        manifest = json.loads((run_dir / "run.json").read_text())
+        assert manifest["workers"] == 2
+        parallel = result.provenance["parallel"]
+        assert parallel["workers"] == 2
+        assert parallel["heartbeat_interval"] == 0.05
+        assert parallel["run_dir"] == str(run_dir)
+        [start] = obs.events.by_kind("pool.start")
+        assert start.fields["workers"] == 2
+        assert start.fields["heartbeat_interval"] == 0.05
+
+    def test_explicit_arguments_beat_the_installed_config(
+        self, stub_characterize
+    ):
+        obs = ObsContext()
+        with activate_parallel(ParallelConfig(workers=2)):
+            result = run_experiment("fig04", workers=1, obs=obs)
+        assert result.provenance["parallel"]["workers"] == 1
+        assert obs.events.by_kind("pool.start") == []
+
+    def test_validate_runs_under_its_one_config(self, stub_characterize):
+        from repro.validate import validate
+
+        obs = ObsContext()
+        with activate_parallel(ParallelConfig(workers=2)):
+            report = validate(["fig04"], with_invariants=False, obs=obs)
+        assert report.config["workers"] == 2
+        [start] = obs.events.by_kind("pool.start")
+        assert start.fields["workers"] == 2
 
 
 class TestPooledDeterminism:

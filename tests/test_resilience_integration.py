@@ -160,13 +160,14 @@ class TestResume:
         assert stub_characterize == []  # nothing re-executed
         assert second.tables[0].rows == first.tables[0].rows
 
-    def test_default_ledger_location_under_env_dir(
+    def test_default_ledger_location_under_cwd(
         self, stub_characterize, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         result = run_experiment("fig04", resume=True)
-        assert result.provenance["ledger"] == str(tmp_path / "fig04.jsonl")
-        assert os.path.exists(tmp_path / "fig04.jsonl")
+        ledger = os.path.join(".repro", "ledgers", "fig04.jsonl")
+        assert result.provenance["ledger"] == ledger
+        assert os.path.exists(tmp_path / ledger)
 
 
 class TestEnvFaultPlan:

@@ -18,7 +18,6 @@ from repro.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
     cell_cache_key,
-    default_cache_dir,
     machine_fingerprint,
 )
 from repro.core.session import Session
@@ -149,12 +148,6 @@ class TestResultCacheStore:
         blocker.write_text("")
         with pytest.raises(CacheError):
             ResultCache(str(blocker)).stats()
-
-    def test_default_cache_dir_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_cache_dir() == str(tmp_path)
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert default_cache_dir() == os.path.join(".repro", "cache")
 
 
 class TestRemoteTier:

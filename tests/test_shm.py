@@ -1,8 +1,8 @@
 """Unit tests for the zero-copy shared-memory data plane.
 
 Covers the publish/attach round-trip (zero-copy, read-only views),
-the pickle-path twin, the delivery fallbacks (a failed publish ships
-the clip inline, a bogus segment regenerates on attach), the data
+the pickle-path twin, delivery failures (a failed publish ships the
+clip inline, a bogus segment fails the lookup), the data
 plane's refcount/unlink lifecycle, run-manifest registration, and the
 session-side video LRU that attaches payloads exactly once per clip.
 """
@@ -23,7 +23,7 @@ from repro.core.session import (  # noqa: E402
     CellSpec,
     Session,
 )
-from repro.errors import ShmError  # noqa: E402
+from repro.errors import QuarantinedCellError, ShmError  # noqa: E402
 from repro.parallel.pool import execute_cells  # noqa: E402
 from repro.parallel.shm import (  # noqa: E402
     SEGMENT_PREFIX,
@@ -35,6 +35,7 @@ from repro.parallel.shm import (  # noqa: E402
     publish_video,
     video_from_payload,
 )
+from repro.resilience import ExecutionPolicy, ResilienceGuard  # noqa: E402
 from repro.video import vbench  # noqa: E402
 from repro.video.synthetic import generate  # noqa: E402
 
@@ -201,16 +202,53 @@ class TestSessionVideoLru:
             shm.close()
             shm.unlink()
 
-    def test_bad_payload_falls_back_to_generate(self):
+    def test_bad_payload_raises(self):
+        """A source that cannot be attached fails the lookup; it never
+        turns into the catalog clip regenerated by name."""
         ghost = ShmVideoHandle(
             segment=f"{SEGMENT_PREFIX}0-feedface", name="desktop",
             fps=30.0, frames=FRAMES, width=64, height=64,
         )
         session = Session(num_frames=FRAMES)
         session.add_video_source("desktop", FRAMES, ghost)
-        video = session.video("desktop")  # ShmError swallowed
-        assert video.shm is None
-        assert video.num_frames == FRAMES
+        with pytest.raises(ShmError, match="cannot attach"):
+            session.video("desktop")
+
+    def test_unlinked_source_quarantines_the_guarded_cell(self):
+        frames = 2
+        handle, shm = publish_video(generate(dataclasses.replace(
+            vbench.entry("game1").spec(frames), seed=7
+        )))
+        shm.close()
+        shm.unlink()
+        session = Session(
+            num_frames=frames,
+            guard=ResilienceGuard(ExecutionPolicy(), "shm-test"),
+        )
+        session.add_video_source("game1", frames, handle)
+        with pytest.raises(QuarantinedCellError) as excinfo:
+            session.report("svt-av1", "game1", 60, 8)
+        assert isinstance(excinfo.value.cause, ShmError)
+
+    def test_source_registered_after_resolution_wins(self):
+        frames = 2
+        content = dataclasses.replace(
+            vbench.entry("game1").spec(frames), seed=7
+        )
+        registered = generate(content)
+        session = Session(num_frames=frames)
+        default = session.video("game1")
+        session.add_video_source(
+            "game1", frames, InlineVideo.from_video(registered)
+        )
+        video = session.video("game1")
+        assert video is not default
+        assert np.array_equal(
+            video.frames[0].y.data, registered.frames[0].y.data
+        )
+        assert not np.array_equal(
+            video.frames[0].y.data, default.frames[0].y.data
+        )
 
     def test_lru_eviction_is_bounded(self):
         session = Session(num_frames=FRAMES)
